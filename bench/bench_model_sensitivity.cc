@@ -39,14 +39,11 @@ sweep(lemons::bench::BenchContext &ctx, const char *label,
     for (double w : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
         const wearout::BathtubModel mix =
             wearout::BathtubModel::withInfantMortality(assumed, w);
-        const arch::LifetimeSampler sampler = [&](Rng &rng) {
-            return mix.sample(rng);
-        };
         const auto report = engine.run(
             [&](Rng &rng) {
                 return static_cast<double>(
                     arch::sampleSerialCopiesTotalAccesses(
-                        sampler, design.width, design.threshold,
+                        mix, design.width, design.threshold,
                         design.copies, rng));
             },
             {.threads = 0, .faults = sim::FaultPolicy::Rethrow});

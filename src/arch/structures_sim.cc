@@ -26,6 +26,47 @@ isNominalLot(const wearout::DeviceFactory &factory)
     return variation.alphaSigma == 0.0 && variation.betaSigma == 0.0;
 }
 
+/**
+ * The classed lot of a fault plan without drift on a nominal base, in
+ * sampleFaultyLifetime's draw order: the stuck-closed pick (class 0,
+ * immortal), the infant pick (class 1, the earlier of the wearout and
+ * infant legs at the shared uniform), else healthy (class 2). A null
+ * plan draws neither pick, like the base path it takes.
+ */
+engine::ClassedLot
+faultLot(const fault::FaultyDeviceFactory &factory)
+{
+    const fault::FaultPlan &plan = factory.plan();
+    const wearout::DeviceSpec &spec = factory.base().spec();
+    const wearout::Weibull main(spec.alpha, spec.beta);
+    engine::ClassedLot lot;
+    lot.picks[0] = {plan.stuckClosedRate, plan.stuckClosedRate > 0.0};
+    lot.picks[1] = {plan.infantFraction, plan.infantFraction > 0.0};
+    lot.pickCount = 2;
+    lot.laws[1].primary = main;
+    lot.laws[1].competing = wearout::Weibull(
+        plan.infantScaleFraction * spec.alpha, plan.infantShape);
+    lot.laws[2].primary = main;
+    return lot;
+}
+
+/**
+ * Total accesses of @p copies serially-consumed k-of-n structures of
+ * @p lot devices (any sampleParallelSurvivedAccesses lot type).
+ */
+template <typename Lot>
+uint64_t
+serialCopiesTotal(const Lot &lot, size_t n, size_t k, uint64_t copies,
+                  Rng &rng)
+{
+    requireArg(copies >= 1,
+               "sampleSerialCopiesTotalAccesses: need at least one copy");
+    uint64_t total = 0;
+    for (uint64_t c = 0; c < copies; ++c)
+        total += sampleParallelSurvivedAccesses(lot, n, k, rng);
+    return total;
+}
+
 } // namespace
 
 uint64_t
@@ -73,12 +114,28 @@ uint64_t
 sampleSerialCopiesTotalAccesses(const LifetimeSampler &sampler, size_t n,
                                 size_t k, uint64_t copies, Rng &rng)
 {
-    requireArg(copies >= 1,
-               "sampleSerialCopiesTotalAccesses: need at least one copy");
-    uint64_t total = 0;
-    for (uint64_t c = 0; c < copies; ++c)
-        total += sampleParallelSurvivedAccesses(sampler, n, k, rng);
-    return total;
+    return serialCopiesTotal(sampler, n, k, copies, rng);
+}
+
+uint64_t
+sampleParallelSurvivedAccesses(const wearout::BathtubModel &model, size_t n,
+                               size_t k, Rng &rng)
+{
+    // Argument validation happens once, inside the kernel.
+    LEMONS_OBS_INCREMENT("arch.sim.structure_samples");
+    LEMONS_OBS_COUNT("arch.sim.device_samples", n);
+    LEMONS_OBS_COUNT("wearout.mixture.samples", n);
+    LEMONS_OBS_COUNT("wearout.weibull.samples", n);
+    return engine::sampleClassedBank(engine::ClassedLot::bathtub(model), n,
+                                     k, rng)
+        .accesses;
+}
+
+uint64_t
+sampleSerialCopiesTotalAccesses(const wearout::BathtubModel &model, size_t n,
+                                size_t k, uint64_t copies, Rng &rng)
+{
+    return serialCopiesTotal(model, n, k, copies, rng);
 }
 
 uint64_t
@@ -99,12 +156,7 @@ uint64_t
 sampleSerialCopiesTotalAccesses(const wearout::DeviceFactory &factory,
                                 size_t n, size_t k, uint64_t copies, Rng &rng)
 {
-    requireArg(copies >= 1,
-               "sampleSerialCopiesTotalAccesses: need at least one copy");
-    uint64_t total = 0;
-    for (uint64_t c = 0; c < copies; ++c)
-        total += sampleParallelSurvivedAccesses(factory, n, k, rng);
-    return total;
+    return serialCopiesTotal(factory, n, k, copies, rng);
 }
 
 namespace {
@@ -183,6 +235,18 @@ sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
     LEMONS_OBS_INCREMENT("arch.sim.faulty_structure_samples");
     LEMONS_OBS_COUNT("arch.sim.device_samples", n);
     FaultySurvival survival;
+    const fault::FaultPlan &plan = factory.plan();
+    if (isNominalLot(factory.base()) && plan.alphaDriftSigma == 0.0 &&
+        plan.betaDriftSigma == 0.0) {
+        if (plan.isNull()) // the base path's Weibull::sample calls
+            LEMONS_OBS_COUNT("wearout.weibull.samples", n);
+        const engine::ClassedBankSample bank =
+            engine::sampleClassedBank(faultLot(factory), n, k, rng);
+        survival.accesses = bank.accesses;
+        survival.unbounded = bank.unbounded;
+        survival.stuckDevices = bank.immortal;
+        return survival;
+    }
     std::vector<double> lifetimes;
     lifetimes.reserve(n);
     for (size_t i = 0; i < n; ++i) {

@@ -14,14 +14,16 @@
 
 #include "fault/faulty_device.h"
 #include "util/rng.h"
+#include "wearout/mixture.h"
 #include "wearout/population.h"
 
 namespace lemons::arch {
 
 /**
- * Arbitrary lifetime source: draws one device time-to-failure. Lets
- * the model-sensitivity studies run the same structure simulations on
- * non-Weibull populations (e.g. bathtub mixtures).
+ * Arbitrary lifetime source: draws one device time-to-failure. The
+ * per-device reference path: it pays one sampler call and one
+ * transform per device, and the order-statistic kernels are tested
+ * bit-equal against it.
  */
 using LifetimeSampler = std::function<double(Rng &)>;
 
@@ -34,6 +36,20 @@ uint64_t sampleParallelSurvivedAccesses(const LifetimeSampler &sampler,
 
 /** Generic version of sampleSerialCopiesTotalAccesses. */
 uint64_t sampleSerialCopiesTotalAccesses(const LifetimeSampler &sampler,
+                                         size_t n, size_t k,
+                                         uint64_t copies, Rng &rng);
+
+/**
+ * sampleParallelSurvivedAccesses on a bathtub-mixture lot (each device
+ * draws model.sample): the same draws and the same result as the
+ * LifetimeSampler path over model.sample, through the classed
+ * order-statistic kernel (engine::sampleClassedBank).
+ */
+uint64_t sampleParallelSurvivedAccesses(const wearout::BathtubModel &model,
+                                        size_t n, size_t k, Rng &rng);
+
+/** sampleSerialCopiesTotalAccesses on a bathtub-mixture lot. */
+uint64_t sampleSerialCopiesTotalAccesses(const wearout::BathtubModel &model,
                                          size_t n, size_t k,
                                          uint64_t copies, Rng &rng);
 
@@ -135,7 +151,10 @@ struct FaultySurvival
 /**
  * Fault-injected counterpart of sampleParallelSurvivedAccesses.
  * Transient glitches are ignored here: they fail individual reads but
- * do not move the wearout order statistics.
+ * do not move the wearout order statistics. A plan without drift on a
+ * lot without process variation runs through the classed
+ * order-statistic kernel (stuck-closed, infant and healthy classes);
+ * the result and the draws are those of per-device sampling.
  */
 FaultySurvival
 sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -32,6 +33,14 @@ constexpr size_t kStackBankWidth = 512;
 
 /** Trials per transform batch in the Many kernel. */
 constexpr size_t kManyBatch = 256;
+
+/** Raw draws per bulk fill in the classed kernel (4 KiB of stack). */
+constexpr size_t kRawChunk = 512;
+
+/** Per-thread per-class uniform arrays and transformed candidates of
+ *  the classed kernel's k > 1 path; widths recur, so they grow once. */
+thread_local std::vector<double> classUniforms[ClassedLot::kMaxPicks + 1];
+thread_local std::vector<double> candidateScratch;
 
 double *
 scratchFor(size_t n, double *stackBuf)
@@ -133,7 +142,32 @@ selectKthSmallest(double *u, size_t n, size_t k)
     return u[k - 1];
 }
 
+/** One class's lifetime at uniform @p u, exactly as the per-device
+ *  samplers compute it. @pre the class is mortal. */
+double
+lifetimeOf(const ClassedLot::Law &law, double u)
+{
+    const double lifetime = law.primary->sampleFromUniform(u);
+    if (!law.competing)
+        return lifetime;
+    return std::min(lifetime, law.competing->sampleFromUniform(u));
+}
+
 } // namespace
+
+ClassedLot
+ClassedLot::bathtub(const wearout::BathtubModel &model)
+{
+    // nextBernoulli(w) draws only when 0 < w < 1, and fires iff w >= 1
+    // otherwise: exactly an undrawn pick's rule.
+    const double w = model.infantFraction();
+    ClassedLot lot;
+    lot.picks[0] = {w, w > 0.0 && w < 1.0};
+    lot.pickCount = 1;
+    lot.laws[0].primary = model.infant();
+    lot.laws[1].primary = model.main();
+    return lot;
+}
 
 uint64_t
 floorToAccesses(double lifetime)
@@ -217,6 +251,108 @@ sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
             out[done + t] = floorToAccesses(lifetimes[t]);
         done += batch;
     }
+}
+
+ClassedBankSample
+sampleClassedBank(const ClassedLot &lot, size_t n, size_t k, Rng &rng)
+{
+    requireArg(n >= 1, "sampleClassedBank: n must be >= 1");
+    requireArg(k >= 1 && k <= n, "sampleClassedBank: need 1 <= k <= n");
+    requireArg(lot.pickCount <= ClassedLot::kMaxPicks,
+               "sampleClassedBank: too many class picks");
+    const size_t classCount = lot.pickCount + 1;
+    size_t drawnPicks = 0;
+    for (size_t p = 0; p < lot.pickCount; ++p) {
+        if (lot.picks[p].drawn)
+            ++drawnPicks;
+    }
+
+    // Each device reads its pick draws and then its lifetime uniform
+    // from the bulk-filled raw words; only the per-class k smallest
+    // uniforms are ever transformed. For k = 1 that is a running
+    // minimum per class, with no arrays at all.
+    size_t counts[ClassedLot::kMaxPicks + 1] = {};
+    double minU[ClassedLot::kMaxPicks + 1];
+    std::fill(minU, minU + classCount, 2.0);
+    if (k > 1) {
+        for (size_t c = 0; c < classCount; ++c)
+            classUniforms[c].clear();
+    }
+    const size_t stride = drawnPicks + 1;
+    const size_t perFill = kRawChunk / stride;
+    uint64_t raw[kRawChunk];
+    for (size_t done = 0; done < n;) {
+        const size_t devices = std::min(perFill, n - done);
+        rng.fillRaw(raw, devices * stride);
+        const uint64_t *word = raw;
+        for (size_t d = 0; d < devices; ++d) {
+            size_t cls = lot.pickCount;
+            for (size_t p = 0; p < lot.pickCount; ++p) {
+                const ClassedLot::Pick &pick = lot.picks[p];
+                const bool fires =
+                    pick.drawn ? Rng::uniformFromWord(*word++) < pick.p
+                               : pick.p >= 1.0;
+                if (fires && cls == lot.pickCount)
+                    cls = p;
+            }
+            const double u = Rng::uniformOpenLowFromWord(*word++);
+            ++counts[cls];
+            if (k == 1)
+                minU[cls] = u < minU[cls] ? u : minU[cls];
+            else if (lot.laws[cls].primary)
+                classUniforms[cls].push_back(u);
+        }
+        done += devices;
+    }
+
+    ClassedBankSample out;
+    for (size_t c = 0; c < classCount; ++c) {
+        if (!lot.laws[c].primary)
+            out.immortal += counts[c];
+    }
+    if (out.immortal >= k) {
+        out.unbounded = true;
+        return out;
+    }
+    // Immortal devices are the largest lifetimes, so the bank's k-th
+    // largest is the rank-th largest mortal one.
+    const size_t rank = k - out.immortal;
+    size_t transforms = 0;
+    double lifetime = 0.0;
+    if (k == 1) {
+        for (size_t c = 0; c < classCount; ++c) {
+            if (!lot.laws[c].primary || counts[c] == 0)
+                continue;
+            const double t = lifetimeOf(lot.laws[c], minU[c]);
+            lifetime = t > lifetime ? t : lifetime;
+            ++transforms;
+        }
+    } else {
+        std::vector<double> &candidates = candidateScratch;
+        candidates.clear();
+        for (size_t c = 0; c < classCount; ++c) {
+            std::vector<double> &u = classUniforms[c];
+            const size_t take = std::min(rank, u.size());
+            if (take == 0)
+                continue;
+            if (take < u.size())
+                std::nth_element(u.begin(),
+                                 u.begin() +
+                                     static_cast<std::ptrdiff_t>(take - 1),
+                                 u.end());
+            for (size_t i = 0; i < take; ++i)
+                candidates.push_back(lifetimeOf(lot.laws[c], u[i]));
+            transforms += take;
+        }
+        std::nth_element(candidates.begin(),
+                         candidates.begin() +
+                             static_cast<std::ptrdiff_t>(rank - 1),
+                         candidates.end(), std::greater<double>());
+        lifetime = candidates[rank - 1];
+    }
+    LEMONS_OBS_COUNT("engine.bank.transforms", transforms);
+    out.accesses = floorToAccesses(lifetime);
+    return out;
 }
 
 } // namespace lemons::engine

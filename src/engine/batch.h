@@ -1,25 +1,36 @@
 /**
  * @file
- * Structure-of-arrays trial kernels for whole device banks.
+ * Order-statistic trial kernels for whole device banks.
  *
- * The generic simulation path draws n lifetimes through a per-device
- * virtual/std::function hop, materializes them in a freshly allocated
- * vector, and order-selects with one pow/log pair per device. These
- * kernels exploit the inverse-CDF structure of the iid-Weibull case:
- * the transform T(u) = alpha * (-ln u)^(1/beta) is monotone
- * non-increasing in u, so the k-th largest of n lifetimes is T applied
- * to the k-th smallest of the n uniforms. The kernel therefore
- * order-selects the raw uniforms first and pays for exactly ONE
- * pow/log transform per structure instead of n — bit-identical to the
- * legacy per-device path (monotone maps preserve order statistics, and
- * the selected uniform goes through the very same sampleFromUniform),
- * while consuming the identical RNG stream.
+ * The per-device simulation path draws n lifetimes, one pow/log
+ * inverse-CDF transform each, and order-selects them. A k-of-n bank
+ * only needs its k-th largest lifetime, and every lifetime law here is
+ * monotone non-increasing in the device's uniform u: for a Weibull,
+ * T(u) = alpha * (-ln u)^(1/beta). So the kernels order-select the raw
+ * uniforms first and transform only the few that can matter. The
+ * result is bit-identical to the per-device path (monotone maps
+ * preserve order statistics, and each selected uniform goes through
+ * the very same sampleFromUniform), and the kernels consume the
+ * identical RNG stream: same draws, same order, same stream position
+ * afterwards.
  *
- * On counter-based trial streams (Rng::trialStream) the uniforms are
- * bulk-generated through the dispatched Philox batch and the k == 1 /
+ * Two kernel families share that contract:
+ *
+ *  - Nominal Weibull lots (sampleParallelBankSurvival and friends):
+ *    one transform per structure.
+ *  - Classed lots (ClassedLot, sampleClassedBank): each device first
+ *    draws class picks — a bathtub mixture's infant/main Bernoulli, a
+ *    fault plan's stuck-closed and infant-mortality decisions — and
+ *    then one lifetime uniform; its lifetime is its class's law at
+ *    that uniform. The kernel keeps the k smallest uniforms per class
+ *    and transforms at most k per class.
+ *
+ * On counter-based trial streams (Rng::trialStream) the draws are
+ * bulk-generated through the dispatched Philox batch, and the k == 1 /
  * k == n selections reduce with AVX2 min/max — both bit-identical to
  * the scalar path, so SIMD width never changes results (enforced by
- * the determinism suites).
+ * the determinism suites). Lots that draw per-device parameters
+ * (process variation, fault-plan drift) stay on the per-device path.
  */
 
 #ifndef LEMONS_ENGINE_BATCH_H_
@@ -28,7 +39,10 @@
 #include <cstddef>
 #include <cstdint>
 
+#include <optional>
+
 #include "util/rng.h"
+#include "wearout/mixture.h"
 #include "wearout/weibull.h"
 
 namespace lemons::engine {
@@ -67,6 +81,74 @@ uint64_t sampleSeriesBankSurvival(const wearout::Weibull &model, size_t n,
 void sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
                                     size_t k, Rng &rng, uint64_t *out,
                                     size_t trials);
+
+/**
+ * A bank lot whose devices fall into a few lifetime classes. Each
+ * device consumes, in order, one draw per drawn pick and then one
+ * (0, 1] lifetime uniform u. Its class is the index of the first pick
+ * that fires, or pickCount when none does; its lifetime is that
+ * class's law at u.
+ */
+struct ClassedLot
+{
+    static constexpr size_t kMaxPicks = 2;
+
+    /**
+     * A class pick that fires with probability p. A drawn pick
+     * consumes one draw and fires iff its [0, 1) uniform
+     * (Rng::nextDouble) is below p; an undrawn pick consumes nothing
+     * and fires iff p >= 1.
+     */
+    struct Pick
+    {
+        double p = 0.0;
+        bool drawn = false;
+    };
+
+    /**
+     * A class lifetime law: primary(u), or min(primary(u),
+     * competing(u)) for a competing-risks class. Both are monotone in
+     * u, so their min is too. A class without a primary law is
+     * immortal (+inf: stuck closed).
+     */
+    struct Law
+    {
+        std::optional<wearout::Weibull> primary;
+        std::optional<wearout::Weibull> competing;
+    };
+
+    Pick picks[kMaxPicks];
+    size_t pickCount = 0;
+    Law laws[kMaxPicks + 1];
+
+    /**
+     * The draws of BathtubModel::sample: nextBernoulli(w) picks the
+     * infant class (class 0), otherwise the main class (class 1).
+     */
+    static ClassedLot bathtub(const wearout::BathtubModel &model);
+};
+
+/** One classed-bank sample. */
+struct ClassedBankSample
+{
+    /** floor of the (k - immortal)-th largest mortal lifetime;
+     *  0 when unbounded. */
+    uint64_t accesses = 0;
+    /** Devices in immortal classes (no primary law). */
+    size_t immortal = 0;
+    /** True when immortal >= k: the bank never drops below k. */
+    bool unbounded = false;
+};
+
+/**
+ * Sample one k-out-of-n parallel bank of @p lot devices. Consumes the
+ * draws of n per-device samples in the same order and returns the
+ * same order statistic, bit for bit, with at most k transforms per
+ * class (counted in `engine.bank.transforms`). For k = 1 it tracks
+ * per-class minima and builds no arrays.
+ */
+ClassedBankSample sampleClassedBank(const ClassedLot &lot, size_t n,
+                                    size_t k, Rng &rng);
 
 } // namespace lemons::engine
 

@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "api/codec.h"
@@ -21,6 +23,9 @@
 namespace lemons::serve {
 
 namespace {
+
+/** Acceptor pause after accept() runs out of descriptors. */
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
 
 /** Envelope carrying exactly one S-code diagnostic. */
 std::string
@@ -139,8 +144,16 @@ Server::acceptLoop()
             continue;
 
         const int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0)
+        if (fd < 0) {
+            LEMONS_OBS_INCREMENT("serve.accept_errors");
+            // Out of descriptors (or kernel memory), the pending
+            // connection stays queued and keeps poll() readable: back
+            // off instead of spinning a core until one frees up.
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM)
+                std::this_thread::sleep_for(kAcceptBackoff);
             continue;
+        }
         LEMONS_OBS_INCREMENT("serve.accepted");
         setSocketTimeout(fd, opts.socketTimeout);
 

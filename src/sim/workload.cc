@@ -1,6 +1,8 @@
 #include "sim/workload.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/require.h"
@@ -42,9 +44,10 @@ UsageProfile::effectiveDailyMean() const
            (1.0 + burstProbability * (burstMultiplier - 1.0));
 }
 
-LifetimeOutcome
-simulateUsage(const UsageProfile &profile, uint64_t budgetAccesses,
-              uint64_t horizonDays, Rng &rng)
+namespace {
+
+void
+requireValidUsage(const UsageProfile &profile, uint64_t horizonDays)
 {
     requireArg(profile.meanPerDay > 0.0,
                "simulateUsage: meanPerDay must be positive");
@@ -54,15 +57,44 @@ simulateUsage(const UsageProfile &profile, uint64_t budgetAccesses,
     requireArg(profile.burstMultiplier >= 1.0,
                "simulateUsage: burstMultiplier must be >= 1");
     requireArg(horizonDays >= 1, "simulateUsage: horizon must be >= 1 day");
+}
 
+/** One day's access demand: the burst pick, then the Poisson count. */
+uint64_t
+dailyDemand(const UsageProfile &profile, Rng &rng)
+{
+    double rate = profile.meanPerDay;
+    if (profile.burstProbability > 0.0 &&
+        rng.nextBernoulli(profile.burstProbability))
+        rate *= profile.burstMultiplier;
+    return poissonSample(rng, rate);
+}
+
+/**
+ * Total demand over the whole horizon: the draws simulateUsage makes
+ * when the budget never runs out.
+ */
+uint64_t
+horizonDemand(const UsageProfile &profile, uint64_t horizonDays, Rng &rng)
+{
+    requireValidUsage(profile, horizonDays);
+    uint64_t total = 0;
+    for (uint64_t day = 0; day < horizonDays; ++day)
+        total += dailyDemand(profile, rng);
+    return total;
+}
+
+} // namespace
+
+LifetimeOutcome
+simulateUsage(const UsageProfile &profile, uint64_t budgetAccesses,
+              uint64_t horizonDays, Rng &rng)
+{
+    requireValidUsage(profile, horizonDays);
     LifetimeOutcome outcome;
     uint64_t remaining = budgetAccesses;
     for (uint64_t day = 0; day < horizonDays; ++day) {
-        double rate = profile.meanPerDay;
-        if (profile.burstProbability > 0.0 &&
-            rng.nextBernoulli(profile.burstProbability))
-            rate *= profile.burstMultiplier;
-        const uint64_t wanted = poissonSample(rng, rate);
+        const uint64_t wanted = dailyDemand(profile, rng);
         if (wanted > remaining) {
             outcome.accessesServed += remaining;
             outcome.daysServed = day;
@@ -93,28 +125,29 @@ budgetForSurvival(const UsageProfile &profile, uint64_t horizonDays,
     requireArg(targetProbability > 0.0 && targetProbability < 1.0,
                "budgetForSurvival: target outside (0, 1)");
 
-    auto survives = [&](uint64_t budget) {
-        return survivalProbability(profile, budget, horizonDays, engine)
-                   .estimate >= targetProbability;
-    };
-
-    // Start near the deterministic mean and search outward.
-    uint64_t hi = std::max<uint64_t>(
-        1, static_cast<uint64_t>(profile.effectiveDailyMean() *
-                                 static_cast<double>(horizonDays)));
-    uint64_t lo = 0;
-    while (!survives(hi)) {
-        lo = hi;
-        hi *= 2;
-    }
-    while (hi - lo > 1) {
-        const uint64_t mid = lo + (hi - lo) / 2;
-        if (survives(mid))
-            hi = mid;
-        else
-            lo = mid;
-    }
-    return hi;
+    // Trial t's stream does not depend on the budget, and cumulative
+    // demand only grows, so trial t survives budget b exactly when its
+    // horizon demand D_t <= b. survivalProbability(b) is then
+    // #{t : D_t <= b} / trials, and the smallest b whose estimate
+    // reaches the target is the m-th smallest D_t, where m is the
+    // smallest success count whose estimate (the same double quotient
+    // as wilsonInterval's) reaches it. One pass answers every budget.
+    TrialReport report = engine.run(
+        [&](Rng &rng) {
+            return static_cast<double>(
+                horizonDemand(profile, horizonDays, rng));
+        },
+        {.faults = FaultPolicy::Rethrow});
+    std::vector<double> &demands = report.samples;
+    const auto n = static_cast<double>(report.trials);
+    size_t m = 1;
+    while (static_cast<double>(m) / n < targetProbability)
+        ++m;
+    std::nth_element(demands.begin(),
+                     demands.begin() + static_cast<std::ptrdiff_t>(m - 1),
+                     demands.end());
+    // Budgets start at 1: a zero budget is never an answer.
+    return std::max<uint64_t>(1, static_cast<uint64_t>(demands[m - 1]));
 }
 
 } // namespace lemons::sim

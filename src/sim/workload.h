@@ -73,10 +73,15 @@ ProportionInterval survivalProbability(const UsageProfile &profile,
                                        const MonteCarlo &engine);
 
 /**
- * Smallest access budget whose survival probability reaches
- * @p targetProbability (point estimate), found by exponential +
- * binary search over Monte Carlo estimates. Deterministic given the
- * engine's seed.
+ * Smallest access budget (at least 1) whose survivalProbability point
+ * estimate reaches @p targetProbability, from ONE Monte Carlo pass.
+ * Trial streams are counter-based, so trial t survives budget b
+ * exactly when its full-horizon demand D_t <= b; the answer is the
+ * m-th smallest D_t, m the smallest success count whose estimate
+ * m / trials (the same double quotient as wilsonInterval) reaches the
+ * target. This is bit-identical to bisecting over survivalProbability
+ * with the same engine, at one pass instead of about twenty.
+ * Deterministic given the engine's seed.
  */
 uint64_t budgetForSurvival(const UsageProfile &profile,
                            uint64_t horizonDays, double targetProbability,

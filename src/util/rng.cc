@@ -15,14 +15,6 @@ rotl(uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
-/** The (u >> 11) + 1 grid point in (0, 1]; shared by every uniform path. */
-inline double
-toDoubleOpenLow(uint64_t word)
-{
-    // (u + 1) / 2^53 lies in (0, 1]; u + 1 cannot overflow 53 bits + 1.
-    return static_cast<double>((word >> 11) + 1) * 0x1.0p-53;
-}
-
 /**
  * Child-seed/key derivation shared by both modes: mix (parent, index)
  * through SplitMix64 twice so nearby pairs map to well-separated
@@ -95,13 +87,13 @@ double
 Rng::nextDouble()
 {
     // 53 top bits -> uniform in [0, 1) on the double grid.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    return uniformFromWord(next());
 }
 
 double
 Rng::nextDoubleOpenLow()
 {
-    return toDoubleOpenLow(next());
+    return uniformOpenLowFromWord(next());
 }
 
 void
@@ -116,7 +108,7 @@ Rng::fillUniformOpenLow(double *out, size_t count)
     size_t filled = 0;
     if (hasBufferedDraw && filled < count) {
         hasBufferedDraw = false;
-        out[filled++] = toDoubleOpenLow(state[kBufferedWord]);
+        out[filled++] = uniformOpenLowFromWord(state[kBufferedWord]);
     }
 
     // Bulk-generate whole blocks (two draws each) straight into the
@@ -138,10 +130,35 @@ Rng::fillUniformOpenLow(double *out, size_t count)
         uint64_t raw[2];
         philox::fillRaw64(key, state[kTrialWord], state[kBlockWord], raw, 1);
         ++state[kBlockWord];
-        out[filled] = toDoubleOpenLow(raw[0]);
+        out[filled] = uniformOpenLowFromWord(raw[0]);
         state[kBufferedWord] = raw[1];
         hasBufferedDraw = true;
     }
+}
+
+void
+Rng::fillRaw(uint64_t *out, size_t count)
+{
+    if (mode != Mode::Philox) {
+        for (size_t i = 0; i < count; ++i)
+            out[i] = next();
+        return;
+    }
+    size_t filled = 0;
+    if (hasBufferedDraw && count > 0) {
+        hasBufferedDraw = false;
+        out[filled++] = state[kBufferedWord];
+    }
+    const size_t wholeBlocks = (count - filled) / 2;
+    if (wholeBlocks > 0) {
+        philox::fillRaw64(philox::keyWords(state[kKeyWord]),
+                          state[kTrialWord], state[kBlockWord],
+                          out + filled, wholeBlocks);
+        state[kBlockWord] += wholeBlocks;
+        filled += 2 * wholeBlocks;
+    }
+    if (filled < count)
+        out[filled] = next(); // odd tail: buffers the block's second draw
 }
 
 double
@@ -158,7 +175,7 @@ Rng::minUniformOpenLow(size_t count)
     size_t remaining = count;
     if (hasBufferedDraw) {
         hasBufferedDraw = false;
-        result = toDoubleOpenLow(state[kBufferedWord]);
+        result = uniformOpenLowFromWord(state[kBufferedWord]);
         --remaining;
     }
     const philox::Key key = philox::keyWords(state[kKeyWord]);
@@ -190,7 +207,7 @@ Rng::maxUniformOpenLow(size_t count)
     size_t remaining = count;
     if (hasBufferedDraw) {
         hasBufferedDraw = false;
-        result = toDoubleOpenLow(state[kBufferedWord]);
+        result = uniformOpenLowFromWord(state[kBufferedWord]);
         --remaining;
     }
     const philox::Key key = philox::keyWords(state[kKeyWord]);

@@ -90,6 +90,29 @@ class Rng
     void fillUniformOpenLow(double *out, size_t count);
 
     /**
+     * Fill @p out[0 .. count) with raw 64-bit draws, bit-identical to
+     * @p count sequential next() calls (the stream advances exactly as
+     * they would). Counter mode generates whole Philox blocks in bulk,
+     * so kernels that consume several draws per device — a class pick
+     * and a lifetime uniform — can read them from one array, through
+     * uniformFromWord / uniformOpenLowFromWord.
+     */
+    void fillRaw(uint64_t *out, size_t count);
+
+    /** The [0, 1) uniform nextDouble() derives from the raw draw @p word. */
+    static double uniformFromWord(uint64_t word)
+    {
+        return static_cast<double>(word >> 11) * 0x1.0p-53;
+    }
+
+    /** The (0, 1] uniform nextDoubleOpenLow() derives from @p word. */
+    static double uniformOpenLowFromWord(uint64_t word)
+    {
+        // (u + 1) / 2^53 lies in (0, 1]; u + 1 cannot overflow 53 bits + 1.
+        return static_cast<double>((word >> 11) + 1) * 0x1.0p-53;
+    }
+
+    /**
      * Minimum / maximum of the next @p count uniforms in (0, 1],
      * advancing the stream exactly as fillUniformOpenLow(out, count)
      * would, without materializing the array. The extremum of a set of

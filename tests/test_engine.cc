@@ -19,7 +19,10 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/structures.h"
@@ -28,9 +31,11 @@
 #include "engine/cache.h"
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
+#include "fault/faulty_device.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "wearout/mixture.h"
 #include "wearout/weibull.h"
 
 namespace lemons::engine {
@@ -40,6 +45,66 @@ double
 uniformMetric(Rng &rng, uint64_t)
 {
     return rng.nextDouble();
+}
+
+/** Classed-kernel bank shapes: n = 1, k = 1, k = n, middle k, and
+ *  banks wider than one bulk fill of raw draws. */
+constexpr struct
+{
+    size_t n, k;
+} kClassedShapes[] = {{1, 1},   {40, 1},   {40, 40}, {60, 30},
+                      {175, 18}, {700, 1}, {700, 70}};
+
+constexpr double kBathtubWeights[] = {0.0, 0.01, 0.4, 1.0};
+
+/** Fault plans eps x infant on a nominal lot (no drift). */
+std::vector<fault::FaultyDeviceFactory>
+faultFactories()
+{
+    const wearout::DeviceFactory base({14.0, 8.0},
+                                      wearout::ProcessVariation::none());
+    std::vector<fault::FaultyDeviceFactory> factories;
+    for (const double eps : {0.0, 1e-3, 0.5}) {
+        for (const double infant : {0.0, 0.05}) {
+            fault::FaultPlan plan;
+            plan.stuckClosedRate = eps;
+            plan.infantFraction = infant;
+            factories.emplace_back(base, plan);
+        }
+    }
+    return factories;
+}
+
+/** The per-device faulty bank: one sampleFaultyLifetime per device,
+ *  then the k-th largest lifetime. */
+arch::FaultySurvival
+perDeviceFaultySurvival(const fault::FaultyDeviceFactory &factory, size_t n,
+                        size_t k, Rng &rng)
+{
+    arch::FaultySurvival survival;
+    std::vector<double> lifetimes;
+    for (size_t i = 0; i < n; ++i) {
+        const fault::FaultyLifetime fate = factory.sampleFaultyLifetime(rng);
+        if (fate.stuckClosed())
+            ++survival.stuckDevices;
+        lifetimes.push_back(fate.lifetime);
+    }
+    if (survival.stuckDevices >= k) {
+        survival.unbounded = true;
+        return survival;
+    }
+    std::nth_element(lifetimes.begin(),
+                     lifetimes.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     lifetimes.end(), std::greater<double>());
+    survival.accesses = floorToAccesses(lifetimes[k - 1]);
+    return survival;
+}
+
+/** Seed-mode stream (xoshiro) or counter-mode trial stream. */
+Rng
+streamFor(bool counterBased, uint64_t trial)
+{
+    return counterBased ? Rng::trialStream(4711, trial) : Rng(4711 + trial);
 }
 
 TEST(ThreadPool, NoThreadCreationAfterWarmup)
@@ -177,6 +242,75 @@ TEST(BatchKernel, ParallelSurvivalBitEqualToPerDevicePath)
                                  << " trial=" << trial;
         }
     }
+
+    // Classed lots: bathtub mixtures and drift-free fault plans. Each
+    // call must return the per-device result, transform at most k
+    // uniforms per mortal class, and leave both streams at the same
+    // position (checked by the next draw, which also shifts the
+    // alignment of the following call's Philox blocks).
+    obs::Counter &transforms =
+        obs::Registry::global().counter("engine.bank.transforms");
+    const wearout::Weibull main(14.0, 8.0);
+    const std::vector<fault::FaultyDeviceFactory> factories =
+        faultFactories();
+    size_t unboundedSeen = 0;
+    for (const bool counterBased : {false, true}) {
+        for (const auto &shape : kClassedShapes) {
+            for (const double w : kBathtubWeights) {
+                const wearout::BathtubModel mix =
+                    wearout::BathtubModel::withInfantMortality(main, w);
+                const arch::LifetimeSampler sampler = [&mix](Rng &r) {
+                    return mix.sample(r);
+                };
+                Rng kernelRng = streamFor(counterBased, shape.n);
+                Rng referenceRng = streamFor(counterBased, shape.n);
+                for (int trial = 0; trial < 20; ++trial) {
+                    const uint64_t before = transforms.get();
+                    const uint64_t got = arch::sampleParallelSurvivedAccesses(
+                        mix, shape.n, shape.k, kernelRng);
+                    EXPECT_LE(transforms.get() - before, 2 * shape.k);
+                    const uint64_t want =
+                        arch::sampleParallelSurvivedAccesses(
+                            sampler, shape.n, shape.k, referenceRng);
+                    ASSERT_EQ(got, want)
+                        << "bathtub w=" << w << " n=" << shape.n
+                        << " k=" << shape.k << " trial=" << trial
+                        << " counter=" << counterBased;
+                    ASSERT_EQ(kernelRng.next(), referenceRng.next());
+                }
+            }
+            for (const fault::FaultyDeviceFactory &factory : factories) {
+                Rng kernelRng = streamFor(counterBased, shape.n);
+                Rng referenceRng = streamFor(counterBased, shape.n);
+                for (int trial = 0; trial < 20; ++trial) {
+                    const uint64_t before = transforms.get();
+                    const arch::FaultySurvival got =
+                        arch::sampleFaultyParallelSurvivedAccesses(
+                            factory, shape.n, shape.k, kernelRng);
+                    EXPECT_LE(transforms.get() - before, 2 * shape.k);
+                    const arch::FaultySurvival want =
+                        perDeviceFaultySurvival(factory, shape.n, shape.k,
+                                                referenceRng);
+                    const std::string where =
+                        "eps=" +
+                        std::to_string(factory.plan().stuckClosedRate) +
+                        " infant=" +
+                        std::to_string(factory.plan().infantFraction) +
+                        " n=" + std::to_string(shape.n) +
+                        " k=" + std::to_string(shape.k) +
+                        " trial=" + std::to_string(trial);
+                    ASSERT_EQ(got.unbounded, want.unbounded) << where;
+                    ASSERT_EQ(got.stuckDevices, want.stuckDevices) << where;
+                    ASSERT_EQ(got.accesses, want.accesses) << where;
+                    ASSERT_EQ(kernelRng.next(), referenceRng.next())
+                        << where;
+                    if (got.unbounded)
+                        ++unboundedSeen;
+                }
+            }
+        }
+    }
+    EXPECT_GT(unboundedSeen, 0u) << "no case had stuck >= k";
 }
 
 TEST(BatchKernel, SeriesSurvivalBitEqualToMinLoop)
@@ -246,6 +380,54 @@ TEST(BatchKernel, SimdAndScalarKernelsBitIdentical)
             ASSERT_EQ(tailVec, tailScalar)
                 << "stream position diverged: n=" << point.n
                 << " trial=" << trial;
+        }
+    }
+
+    // Classed lots read their draws through the bulk raw fill, whose
+    // AVX2 Philox batch must match the scalar blocks draw for draw.
+    const wearout::Weibull main(9.3, 12.0);
+    const std::vector<fault::FaultyDeviceFactory> factories =
+        faultFactories();
+    auto both = [](auto &&sample) {
+        // One sample under each forced dispatch tier, plus the draw
+        // that follows it.
+        Rng vectorRng = Rng::trialStream(20170624, 3);
+        Rng scalarRng = Rng::trialStream(20170624, 3);
+        static_cast<void>(vectorRng.next()); // start mid-block
+        static_cast<void>(scalarRng.next());
+        simd::setLevelForTesting(simd::Level::Avx2);
+        const auto vec = sample(vectorRng);
+        const uint64_t tailVec = vectorRng.next();
+        simd::setLevelForTesting(simd::Level::Scalar);
+        const auto scalar = sample(scalarRng);
+        const uint64_t tailScalar = scalarRng.next();
+        simd::clearLevelForTesting();
+        EXPECT_EQ(tailVec, tailScalar) << "stream position diverged";
+        return std::make_pair(vec, scalar);
+    };
+    for (const auto &shape : kClassedShapes) {
+        for (const double w : kBathtubWeights) {
+            const wearout::BathtubModel mix =
+                wearout::BathtubModel::withInfantMortality(main, w);
+            const auto [vec, scalar] = both([&](Rng &rng) {
+                return arch::sampleParallelSurvivedAccesses(mix, shape.n,
+                                                            shape.k, rng);
+            });
+            ASSERT_EQ(vec, scalar) << "bathtub w=" << w << " n=" << shape.n
+                                   << " k=" << shape.k;
+        }
+        for (const fault::FaultyDeviceFactory &factory : factories) {
+            const auto [vec, scalar] = both([&](Rng &rng) {
+                const arch::FaultySurvival s =
+                    arch::sampleFaultyParallelSurvivedAccesses(
+                        factory, shape.n, shape.k, rng);
+                return std::make_tuple(s.accesses, s.unbounded,
+                                       s.stuckDevices);
+            });
+            ASSERT_EQ(vec, scalar)
+                << "eps=" << factory.plan().stuckClosedRate
+                << " infant=" << factory.plan().infantFraction
+                << " n=" << shape.n << " k=" << shape.k;
         }
     }
 }

@@ -14,6 +14,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -312,6 +313,63 @@ TEST_F(ServeTest, GracefulDrainAnswersInflightWithS008)
 
     server.waitDrained();
     EXPECT_EQ(server.inflight(), 0u);
+    server.stop();
+}
+
+TEST_F(ServeTest, DescriptorExhaustionBacksOffThenServes)
+{
+    // accept() failing with EMFILE leaves the connection queued, so the
+    // listener stays poll()-readable. The acceptor must back off rather
+    // than spin, and serve the connection once descriptors free up.
+    Server server(ServerOptions{});
+    ASSERT_TRUE(server.start());
+    // The client socket exists before the cap; connecting needs no
+    // new descriptor, but the acceptor's accept() does.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+    // Cap the soft limit at the lowest free descriptor: every lower
+    // one is open, so the next accept() gets EMFILE.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    const int lowestFree = ::dup(0);
+    ASSERT_GE(lowestFree, 0);
+    ::close(lowestFree);
+    obs::Counter &errors =
+        obs::Registry::global().counter("serve.accept_errors");
+    const uint64_t errorsBefore = errors.get();
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(lowestFree);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.boundPort());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const bool connected =
+        ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) ==
+        0;
+    const std::string request = get("/v1/healthz");
+    const bool sent = connected && ::send(fd, request.data(), request.size(),
+                                          0) ==
+                                       static_cast<ssize_t>(request.size());
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_TRUE(sent) << "connect/send failed under the cap";
+    const uint64_t failedAccepts = errors.get() - errorsBefore;
+    EXPECT_GE(failedAccepts, 1u) << "the capped limit never bit";
+    EXPECT_LE(failedAccepts, 50u) << "acceptor spun on EMFILE";
+
+    std::string response;
+    char chunk[4096];
+    ssize_t got = 0;
+    while ((got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0)
+        response.append(chunk, static_cast<size_t>(got));
+    ::close(fd);
+    EXPECT_EQ(statusOf(response), 200);
     server.stop();
 }
 

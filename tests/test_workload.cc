@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/workload.h"
@@ -171,6 +172,67 @@ TEST(BudgetForSurvival, BurstyUsersNeedMore)
     const MonteCarlo engine(12, 300);
     EXPECT_GT(budgetForSurvival(bursty, 1825, 0.99, engine),
               budgetForSurvival(plain, 1825, 0.99, engine));
+}
+
+/**
+ * The exponential-plus-binary search budgetForSurvival used to run: one
+ * full Monte Carlo pass per probed budget. The one-pass order
+ * statistic must return the same budget.
+ */
+uint64_t
+bisectedBudget(const UsageProfile &profile, uint64_t horizonDays,
+               double targetProbability, const MonteCarlo &engine)
+{
+    auto survives = [&](uint64_t budget) {
+        return survivalProbability(profile, budget, horizonDays, engine)
+                   .estimate >= targetProbability;
+    };
+    uint64_t hi = std::max<uint64_t>(
+        1, static_cast<uint64_t>(profile.effectiveDailyMean() *
+                                 static_cast<double>(horizonDays)));
+    uint64_t lo = 0;
+    while (!survives(hi)) {
+        lo = hi;
+        hi *= 2;
+    }
+    while (hi - lo > 1) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (survives(mid))
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return hi;
+}
+
+TEST(BudgetForSurvival, OnePassEqualsBisection)
+{
+    // The five usage-bench profiles, plus a near-zero rate whose
+    // demand is mostly 0, so the answer is the floor budget of 1.
+    const UsageProfile profiles[] = {
+        {50.0, 0.0, 1.0},  {30.0, 0.0, 1.0},   {60.0, 0.0, 1.0},
+        {50.0, 0.05, 4.0}, {120.0, 0.0, 1.0}, {1e-4, 0.0, 1.0},
+    };
+    size_t floorAnswers = 0;
+    for (const UsageProfile &profile : profiles) {
+        for (const uint64_t trials : {1u, 2u, 7u, 100u}) {
+            const MonteCarlo engine(20170624 + trials, trials);
+            for (const double target : {0.01, 0.5, 0.99, 0.999}) {
+                for (const uint64_t horizon : {1u, 30u, 365u}) {
+                    const uint64_t got =
+                        budgetForSurvival(profile, horizon, target, engine);
+                    EXPECT_EQ(got, bisectedBudget(profile, horizon, target,
+                                                  engine))
+                        << "mean " << profile.meanPerDay << " burst "
+                        << profile.burstProbability << " trials " << trials
+                        << " target " << target << " horizon " << horizon;
+                    if (got == 1)
+                        ++floorAnswers;
+                }
+            }
+        }
+    }
+    EXPECT_GT(floorAnswers, 0u) << "the answer-is-1 edge went untested";
 }
 
 TEST(BudgetForSurvival, RejectsBadTarget)
