@@ -60,14 +60,17 @@ runCell(const Design &design, const fault::FaultyDeviceFactory &factory,
         uint64_t trials)
 {
     const sim::MonteCarlo mc(kSeed, trials);
-    const sim::TrialReport report = mc.run([&](Rng &rng) {
-        const arch::FaultyArchitectureOutcome outcome =
-            arch::sampleFaultySerialCopiesOutcome(
-                factory, design.width, design.threshold, design.copies, rng);
-        if (outcome.unbounded)
-            return std::numeric_limits<double>::infinity();
-        return static_cast<double>(outcome.totalAccesses);
-    });
+    const sim::TrialReport report = mc.run(
+        [&](Rng &rng) {
+            const arch::FaultyArchitectureOutcome outcome =
+                arch::sampleFaultySerialCopiesOutcome(
+                    factory, design.width, design.threshold, design.copies,
+                    rng);
+            if (outcome.unbounded)
+                return std::numeric_limits<double>::infinity();
+            return static_cast<double>(outcome.totalAccesses);
+        },
+        {.threads = 0});
 
     uint64_t labSurvivals = 0;
     std::vector<double> bounded;

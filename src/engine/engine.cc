@@ -11,6 +11,10 @@
 #include <thread>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "util/math.h"
@@ -130,14 +134,29 @@ lowerToChunk(std::atomic<uint64_t> &cell, uint64_t chunk)
     }
 }
 
+/** CPUs this process may run on: its affinity mask, so a pinned or
+ *  CPU-limited process does not oversubscribe. */
 unsigned
-resolveThreads(unsigned requested, uint64_t chunkCount)
+availableCpus()
+{
+#ifdef __linux__
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) == 0 &&
+        CPU_COUNT(&mask) > 0)
+        return static_cast<unsigned>(CPU_COUNT(&mask));
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+unsigned
+resolveThreads(unsigned requested, uint64_t trials)
 {
     if (requested == 0)
-        requested = std::max(1u, std::thread::hardware_concurrency());
-    // More executors than chunks would only idle.
-    return static_cast<unsigned>(
-        std::min<uint64_t>(requested, chunkCount));
+        requested = availableCpus();
+    // Waves with fewer chunks than executors are sliced below a chunk,
+    // so only a run with fewer trials than executors would idle some.
+    return static_cast<unsigned>(std::min<uint64_t>(requested, trials));
 }
 
 } // namespace
@@ -154,7 +173,7 @@ runTrials(uint64_t seed, const McRunOptions &options,
     const uint64_t chunkSize =
         options.chunkSize != 0 ? options.chunkSize : kDefaultChunkSize;
     const uint64_t chunkCount = ceilDiv(trials, chunkSize);
-    const unsigned threads = resolveThreads(options.threads, chunkCount);
+    const unsigned threads = resolveThreads(options.threads, trials);
     const bool rethrow = options.faults == FaultPolicy::Rethrow;
     const double nan = std::numeric_limits<double>::quiet_NaN();
 
@@ -187,7 +206,34 @@ runTrials(uint64_t seed, const McRunOptions &options,
     FirstErrorCell firstError(trials);
     std::atomic<uint64_t> firstFailingChunk{chunkCount};
 
-    const auto runChunk = [&](uint64_t c) {
+    // Scheduling: a chunk is the statistics grain, a slice (a run of
+    // consecutive trials inside one chunk) the scheduling unit. A wave
+    // with at least as many chunks as executors runs one slice per
+    // chunk, which folds each trial into its chunk's accumulator as it
+    // goes. A wave with fewer chunks than executors cuts every chunk
+    // into slicesPerChunk slices; these park each outcome in a wave
+    // buffer (report.samples, or waveSamples when streaming) plus a
+    // failed flag, and the driver folds the buffer in trial order after
+    // the wave: the same adds in the same order either way.
+    uint64_t slicesPerChunk = 1;
+    uint64_t waveFirstTrial = 0;
+    std::vector<double> waveSamples;
+    std::vector<uint8_t> waveFailed;
+
+    // Log trial i's exception from inside its handler; false when the
+    // slice must be abandoned (rethrow mode).
+    const auto recordFailure = [&](uint64_t c, uint64_t i,
+                                   const char *what) {
+        if (!rethrow) {
+            collector.recordFailure(i, what);
+            return true;
+        }
+        firstError.record(i, std::current_exception());
+        lowerToChunk(firstFailingChunk, c);
+        return false;
+    };
+
+    const auto runSlice = [&](uint64_t c, uint64_t begin, uint64_t end) {
         // In rethrow mode chunks strictly after the earliest failing
         // chunk are dead work — their results get discarded when the
         // failure is rethrown — so skip them. Chunks at or before it
@@ -196,39 +242,40 @@ runTrials(uint64_t seed, const McRunOptions &options,
         if (rethrow &&
             c > firstFailingChunk.load(std::memory_order_acquire))
             return;
-        const uint64_t begin = c * chunkSize;
-        const uint64_t end = std::min(trials, begin + chunkSize);
-        RunningStats &local = chunkStats[c];
+        const bool wholeChunk = slicesPerChunk == 1;
         for (uint64_t i = begin; i < end; ++i) {
             // The definitional trial stream: Philox keyed on
             // (seed, i, draw), so trial i's randomness is a pure
             // function of (seed, i) — independent of threads, chunks,
-            // SIMD dispatch and resume cursors.
+            // slices, SIMD dispatch and resume cursors.
             Rng rng = Rng::trialStream(seed, i);
+            double sample = nan;
+            bool failed = false;
             try {
-                const double sample = metric(rng, i);
+                sample = metric(rng, i);
                 // Any non-finite RETURN is quarantined; a throwing
                 // trial instead keeps its NaN placeholder and is
                 // recorded as failed, never as quarantined.
                 if (!std::isfinite(sample))
                     collector.recordNonFinite(i);
-                if (options.keepSamples)
-                    report.samples[i] = sample;
-                local.add(sample); // RunningStats skips non-finite
             } catch (const std::exception &e) {
-                if (rethrow) {
-                    firstError.record(i, std::current_exception());
-                    lowerToChunk(firstFailingChunk, c);
-                    return; // abandon the chunk, like the legacy worker
-                }
-                collector.recordFailure(i, e.what());
-            } catch (...) {
-                if (rethrow) {
-                    firstError.record(i, std::current_exception());
-                    lowerToChunk(firstFailingChunk, c);
+                if (!recordFailure(c, i, e.what()))
                     return;
-                }
-                collector.recordFailure(i, "unknown exception");
+                failed = true;
+            } catch (...) {
+                if (!recordFailure(c, i, "unknown exception"))
+                    return;
+                failed = true;
+            }
+            if (options.keepSamples)
+                report.samples[i] = sample;
+            if (wholeChunk) {
+                if (!failed)
+                    chunkStats[c].add(sample); // skips non-finite
+            } else {
+                waveFailed[i - waveFirstTrial] = failed;
+                if (!options.keepSamples)
+                    waveSamples[i - waveFirstTrial] = sample;
             }
         }
     };
@@ -308,17 +355,49 @@ runTrials(uint64_t seed, const McRunOptions &options,
         const uint64_t waveBase = executedChunks;
         const uint64_t waveEnd =
             std::min(chunkCount, waveBase + wave);
-        pool.parallelFor(waveEnd - waveBase, threads,
-                         [&runChunk, waveBase](uint64_t offset) {
-                             runChunk(waveBase + offset);
-                         });
-        for (uint64_t c = waveBase; c < waveEnd; ++c)
-            streaming.merge(chunkStats[c]);
+        const uint64_t waveChunks = waveEnd - waveBase;
+        // About four slices per executor, so a slow slice does not
+        // leave the others idle at the end of the wave.
+        slicesPerChunk =
+            waveChunks < threads ? ceilDiv(4 * uint64_t{threads}, waveChunks)
+                                 : 1;
+        waveFirstTrial = waveBase * chunkSize;
+        const uint64_t waveLastTrial = std::min(trials, waveEnd * chunkSize);
+        if (slicesPerChunk > 1) {
+            // Fewer chunks than executors: the buffer holds at most
+            // threads * chunkSize trials.
+            waveFailed.resize(waveLastTrial - waveFirstTrial);
+            if (!options.keepSamples)
+                waveSamples.resize(waveLastTrial - waveFirstTrial);
+        }
+        pool.parallelFor(
+            waveChunks * slicesPerChunk, threads,
+            [&runSlice, &slicesPerChunk, waveBase, chunkSize,
+             trials](uint64_t task) {
+                const uint64_t c = waveBase + task / slicesPerChunk;
+                const uint64_t part = task % slicesPerChunk;
+                const uint64_t begin = c * chunkSize;
+                const uint64_t length =
+                    std::min(trials, begin + chunkSize) - begin;
+                runSlice(c, begin + length * part / slicesPerChunk,
+                         begin + length * (part + 1) / slicesPerChunk);
+            });
         executedChunks = waveEnd;
-        LEMONS_OBS_COUNT("sim.mc.chunks", waveEnd - waveBase);
+        LEMONS_OBS_COUNT("sim.mc.chunks", waveChunks);
 
         if (rethrow && firstError.take())
             break; // rethrown below, after bookkeeping
+        if (slicesPerChunk > 1) {
+            for (uint64_t i = waveFirstTrial; i < waveLastTrial; ++i) {
+                const uint64_t slot = i - waveFirstTrial;
+                if (waveFailed[slot] == 0)
+                    chunkStats[i / chunkSize].add(
+                        options.keepSamples ? report.samples[i]
+                                            : waveSamples[slot]);
+            }
+        }
+        for (uint64_t c = waveBase; c < waveEnd; ++c)
+            streaming.merge(chunkStats[c]);
         if (checkpointEvery != 0 &&
             executedChunks % checkpointEvery == 0)
             takeCheckpoint();

@@ -4,14 +4,23 @@
  *
  * One entry point — runTrials — is the execution substrate behind
  * every simulation in the library (sim::MonteCarlo::run delegates
- * here). Trials are processed in contiguous chunks whose boundaries
- * depend only on the chunk size, never on the thread count, and trial
- * i always uses the counter-based stream Rng::trialStream(seed, i)
- * (Philox keyed on (seed, trial, draw)): per-trial results are
- * bit-identical at any parallelism and SIMD dispatch level, and the
- * streaming statistics are merged in chunk order so even the
- * reassociation-sensitive moments are reproducible at any thread
- * count.
+ * here). Trial i always uses the counter-based stream
+ * Rng::trialStream(seed, i) (Philox keyed on (seed, trial, draw)), so
+ * per-trial results are bit-identical at any parallelism and SIMD
+ * dispatch level.
+ *
+ * Two units organise the work. A chunk (McRunOptions::chunkSize
+ * contiguous trials, boundaries set by the chunk size alone) is the
+ * statistics grain: each chunk's RunningStats is folded in trial order
+ * and the chunks are merged in chunk order, and early stops,
+ * checkpoints and resumes happen only between chunks. A slice (a run
+ * of consecutive trials inside one chunk) is the scheduling unit: a
+ * wave with at least as many chunks as executors runs one slice per
+ * chunk, and a wave with fewer is cut into about four slices per
+ * executor, so even a one-chunk run uses every executor. Samples,
+ * statistics (down to the reassociation-sensitive moments), failure
+ * logs and the rethrown error are independent of both the thread
+ * count and the slice count.
  *
  * Execution runs on the persistent ThreadPool (no thread creation
  * after warmup) and can stop early once the confidence interval of the
@@ -150,11 +159,12 @@ struct McRunOptions
 {
     /** Trial count; 0 = the caller's configured default. */
     uint64_t trials = 0;
-    /** Executor count; 1 = inline on the caller, 0 = all hardware. */
+    /** Executor count; 1 = inline on the caller, 0 = every CPU in the
+     *  process's affinity mask. */
     unsigned threads = 1;
-    /** Trials per chunk; 0 = kDefaultChunkSize. Chunking changes only
-     *  scheduling granularity and streaming-merge order — per-trial
-     *  samples are bit-identical for any value. */
+    /** Trials per chunk; 0 = kDefaultChunkSize. The chunk size sets
+     *  the streaming-merge order and the early-stop and checkpoint
+     *  grain — per-trial samples are bit-identical for any value. */
     uint64_t chunkSize = 0;
     /** Keep every sample (O(trials) memory, quantile-ready) or stream
      *  statistics only (constant memory). */

@@ -8,6 +8,16 @@
 
 namespace lemons::obs {
 
+unsigned
+detail::assignCounterStripe()
+{
+    static std::atomic<unsigned> nextStripe{0};
+    counterStripe =
+        nextStripe.fetch_add(1, std::memory_order_relaxed) %
+        Counter::kStripes;
+    return counterStripe;
+}
+
 double
 Timer::meanNs() const
 {

@@ -21,6 +21,7 @@
 #ifndef LEMONS_OBS_METRICS_H_
 #define LEMONS_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -36,28 +37,70 @@
 
 namespace lemons::obs {
 
+namespace detail {
+
+/** Stripe slot of a thread that has not counted anything yet. */
+inline constexpr unsigned kNoCounterStripe = ~0u;
+
+/** This thread's Counter stripe. The initializer is a constant, so
+ *  reading it needs no TLS guard. */
+inline thread_local unsigned counterStripe = kNoCounterStripe;
+
+/** Give the calling thread the next stripe, round-robin, and return
+ *  it. */
+unsigned assignCounterStripe();
+
+} // namespace detail
+
 /**
- * Monotonically increasing event count. add() is wait-free (one
- * relaxed fetch_add); reads may observe a slightly stale value while
- * writers are active, which is fine for telemetry.
+ * Monotonically increasing event count, striped over cache lines.
+ *
+ * Each thread adds into its own cell (threads take stripes round-robin
+ * on their first add), so Monte Carlo workers bumping the same hot
+ * counter per draw do not bounce one cache line between cores. add()
+ * is wait-free (one relaxed fetch_add); get() sums every stripe, so it
+ * is exact once writers are quiescent and may be slightly stale while
+ * they are active, which is fine for telemetry.
  */
 class Counter
 {
   public:
+    /** Stripes per counter; threads beyond this share cells. */
+    static constexpr unsigned kStripes = 8;
+
     /** Add @p delta events. */
     void add(uint64_t delta = 1)
     {
-        value.fetch_add(delta, std::memory_order_relaxed);
+        unsigned stripe = detail::counterStripe;
+        if (stripe == detail::kNoCounterStripe)
+            stripe = detail::assignCounterStripe();
+        cells[stripe].value.fetch_add(delta, std::memory_order_relaxed);
     }
 
-    /** Current count. */
-    uint64_t get() const { return value.load(std::memory_order_relaxed); }
+    /** Current count (sum over stripes). */
+    uint64_t get() const
+    {
+        uint64_t total = 0;
+        for (const Cell &cell : cells)
+            total += cell.value.load(std::memory_order_relaxed);
+        return total;
+    }
 
-    /** Reset to zero (between benchmark repetitions). */
-    void reset() { value.store(0, std::memory_order_relaxed); }
+    /** Reset every stripe to zero (between benchmark repetitions). */
+    void reset()
+    {
+        for (Cell &cell : cells)
+            cell.value.store(0, std::memory_order_relaxed);
+    }
 
   private:
-    std::atomic<uint64_t> value{0};
+    /** One stripe, alone on its cache line. */
+    struct alignas(64) Cell
+    {
+        std::atomic<uint64_t> value{0};
+    };
+
+    std::array<Cell, kStripes> cells;
 };
 
 /**

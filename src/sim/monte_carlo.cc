@@ -39,7 +39,7 @@ MonteCarlo::estimateProbability(
     LEMONS_OBS_SCOPED_TIMER("sim.mc.estimate_probability");
     TrialReport report = run(
         [&event](Rng &rng) { return event(rng) ? 1.0 : 0.0; },
-        {.faults = FaultPolicy::Rethrow});
+        {.threads = 0, .faults = FaultPolicy::Rethrow});
     const auto successes = static_cast<uint64_t>(std::count(
         report.samples.begin(), report.samples.end(), 1.0));
     return wilsonInterval(successes, report.trials);

@@ -65,7 +65,9 @@ class MonteCarlo
                     McRunOptions options = {}) const;
 
     /**
-     * Estimate P(event) with a Wilson 95 % interval.
+     * Estimate P(event) with a Wilson 95 % interval. Runs on every CPU
+     * the process may use (the estimate is the same at any thread
+     * count), so @p event must be safe to call concurrently.
      */
     ProportionInterval
     estimateProbability(const std::function<bool(Rng &)> &event) const;

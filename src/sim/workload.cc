@@ -137,7 +137,7 @@ budgetForSurvival(const UsageProfile &profile, uint64_t horizonDays,
             return static_cast<double>(
                 horizonDemand(profile, horizonDays, rng));
         },
-        {.faults = FaultPolicy::Rethrow});
+        {.threads = 0, .faults = FaultPolicy::Rethrow});
     std::vector<double> &demands = report.samples;
     const auto n = static_cast<double>(report.trials);
     size_t m = 1;

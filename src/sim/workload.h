@@ -80,8 +80,9 @@ ProportionInterval survivalProbability(const UsageProfile &profile,
  * m-th smallest D_t, m the smallest success count whose estimate
  * m / trials (the same double quotient as wilsonInterval) reaches the
  * target. This is bit-identical to bisecting over survivalProbability
- * with the same engine, at one pass instead of about twenty.
- * Deterministic given the engine's seed.
+ * with the same engine, at one pass instead of about twenty. The pass
+ * runs on every CPU the process may use; the answer is deterministic
+ * given the engine's seed, at any thread count.
  */
 uint64_t budgetForSurvival(const UsageProfile &profile,
                            uint64_t horizonDays, double targetProbability,

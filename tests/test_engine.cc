@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -689,6 +693,171 @@ TEST(RunTrials, EarlyStopCaptureKeepsLowestTrialError)
         EXPECT_EQ(report.failedTrials.front(), 13u);
         EXPECT_EQ(report.firstError, "fault at trial 13");
     }
+}
+
+/** Bitwise equality of two reports' samples, statistics and logs. */
+void
+expectSameReport(const TrialReport &want, const TrialReport &got,
+                 const std::string &where)
+{
+    ASSERT_EQ(got.trials, want.trials) << where;
+    ASSERT_EQ(got.samples.size(), want.samples.size()) << where;
+    for (size_t i = 0; i < want.samples.size(); ++i)
+        ASSERT_EQ(std::bit_cast<uint64_t>(got.samples[i]),
+                  std::bit_cast<uint64_t>(want.samples[i]))
+            << where << " trial=" << i;
+    const RunningStats::State a = want.stats.state();
+    const RunningStats::State b = got.stats.state();
+    EXPECT_EQ(b.count, a.count) << where;
+    EXPECT_EQ(b.nonFiniteCount, a.nonFiniteCount) << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(b.mean), std::bit_cast<uint64_t>(a.mean))
+        << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(b.m2), std::bit_cast<uint64_t>(a.m2))
+        << where;
+    EXPECT_EQ(b.min, a.min) << where;
+    EXPECT_EQ(b.max, a.max) << where;
+    EXPECT_EQ(got.failedTrials, want.failedTrials) << where;
+    EXPECT_EQ(got.nonFiniteTrials, want.nonFiniteTrials) << where;
+    EXPECT_EQ(got.firstError, want.firstError) << where;
+}
+
+/** Runs with fewer chunks than executors are cut into slices below
+ *  the chunk; every result must still equal the inline run's bits. */
+void
+expectSlicedRunsMatchInline(const TrialMetric &metric)
+{
+    for (const uint64_t trials :
+         {uint64_t{1}, uint64_t{7}, uint64_t{100}, uint64_t{1023},
+          uint64_t{1025}, uint64_t{3000}}) {
+        for (const uint64_t chunk : {uint64_t{0}, uint64_t{16}}) {
+            for (const bool keep : {true, false}) {
+                McRunOptions options{.trials = trials,
+                                     .chunkSize = chunk,
+                                     .keepSamples = keep};
+                const TrialReport want = runTrials(17, options, metric);
+                for (const unsigned threads : {2u, 4u, 8u}) {
+                    options.threads = threads;
+                    expectSameReport(
+                        want, runTrials(17, options, metric),
+                        "trials=" + std::to_string(trials) +
+                            " chunk=" + std::to_string(chunk) +
+                            " keep=" + std::to_string(keep) +
+                            " threads=" + std::to_string(threads));
+                }
+            }
+        }
+    }
+}
+
+TEST(RunTrials, SlicedWavesBitEqualToInline)
+{
+    // Heavy-tailed samples: any change to the order of the adds moves
+    // the low bits of the mean and M2.
+    expectSlicedRunsMatchInline([](Rng &rng, uint64_t) {
+        return -1000.0 * std::log(rng.nextDoubleOpenLow());
+    });
+}
+
+TEST(RunTrials, SlicedCaptureBitEqualToInline)
+{
+    expectSlicedRunsMatchInline([](Rng &rng, uint64_t trial) {
+        if (trial % 13 == 5)
+            throw std::runtime_error("fault at trial " +
+                                     std::to_string(trial));
+        if (trial % 17 == 3)
+            return std::numeric_limits<double>::quiet_NaN();
+        if (trial % 29 == 28)
+            return std::numeric_limits<double>::infinity();
+        return -1000.0 * std::log(rng.nextDoubleOpenLow());
+    });
+}
+
+TEST(RunTrials, SlicedRethrowRaisesLowestFailingTrial)
+{
+    // Two failing trials in different slices of one chunk. The lower
+    // one stalls first, so the higher one is usually recorded earlier:
+    // the lowest trial must still win, as it does inline.
+    const auto rethrown = [](const McRunOptions &options, uint64_t low,
+                             uint64_t high) -> std::string {
+        try {
+            static_cast<void>(runTrials(
+                5, options, [low, high](Rng &rng, uint64_t trial) {
+                    if (trial == low) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(20));
+                        throw std::runtime_error("trial " +
+                                                 std::to_string(trial));
+                    }
+                    if (trial == high)
+                        throw std::runtime_error("trial " +
+                                                 std::to_string(trial));
+                    return rng.nextDouble();
+                }));
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "no exception";
+    };
+    // One 100-trial chunk in 16 slices; chunk 2 of seven 16-trial
+    // chunks in five slices ([35, 38) and [38, 41)).
+    for (const auto &[chunk, low, high] :
+         {std::tuple<uint64_t, uint64_t, uint64_t>{0, 20, 70},
+          std::tuple<uint64_t, uint64_t, uint64_t>{16, 37, 40}}) {
+        for (const unsigned threads : {1u, 4u, 8u}) {
+            const McRunOptions options{.trials = 100,
+                                       .threads = threads,
+                                       .chunkSize = chunk,
+                                       .faults = FaultPolicy::Rethrow};
+            EXPECT_EQ(rethrown(options, low, high),
+                      "trial " + std::to_string(low))
+                << "chunk=" << chunk << " threads=" << threads;
+        }
+    }
+}
+
+TEST(RunTrials, SmallRunSpreadsOverThePool)
+{
+    // One 100-trial chunk at 4 threads must not fall back to the
+    // inline loop: its slices run as pool tasks.
+    obs::Counter &tasks =
+        obs::Registry::global().counter("sim.mc.pool.tasks");
+    obs::Counter &inlineRuns =
+        obs::Registry::global().counter("sim.mc.pool.inline_runs");
+    const uint64_t tasksBefore = tasks.get();
+    const uint64_t inlineBefore = inlineRuns.get();
+    static_cast<void>(
+        runTrials(3, {.trials = 100, .threads = 4}, uniformMetric));
+    EXPECT_GT(tasks.get() - tasksBefore, 1u);
+    EXPECT_EQ(inlineRuns.get(), inlineBefore);
+}
+
+TEST(RunTrials, AllThreadsMeansTheAffinityMask)
+{
+#ifdef __linux__
+    // Pin the calling thread to one CPU: "all CPUs" is then one
+    // executor, so the run stays inline instead of oversubscribing.
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    size_t first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+    obs::Counter &inlineRuns =
+        obs::Registry::global().counter("sim.mc.pool.inline_runs");
+    const uint64_t inlineBefore = inlineRuns.get();
+    static_cast<void>(
+        runTrials(3, {.trials = 100, .threads = 0}, uniformMetric));
+    const uint64_t inlineAfter = inlineRuns.get();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(inlineAfter, inlineBefore + 1);
+#else
+    GTEST_SKIP() << "affinity masks are Linux-only";
+#endif
 }
 
 TEST(ThreadPoolSubmit, RunsEveryTaskOffTheCallerThread)

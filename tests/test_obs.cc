@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -29,6 +30,61 @@ TEST(ObsCounter, AddGetReset)
     EXPECT_EQ(c.get(), 42u);
     c.reset();
     EXPECT_EQ(c.get(), 0u);
+}
+
+/** Run @p body on @p threads fresh threads and join them. */
+template <typename Body>
+void
+onThreads(unsigned threads, const Body &body)
+{
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back(body);
+    for (std::thread &thread : pool)
+        thread.join();
+}
+
+constexpr unsigned kWriters = 8;
+constexpr uint64_t kAddsPerWriter = 100000;
+
+TEST(ObsCounter, StripedAddsSumExactly)
+{
+    Counter c;
+    onThreads(kWriters, [&c] {
+        for (uint64_t i = 0; i < kAddsPerWriter; ++i)
+            c.add();
+    });
+    EXPECT_EQ(c.get(), kWriters * kAddsPerWriter);
+}
+
+TEST(ObsCounter, ResetZeroesEveryStripe)
+{
+    // Eight fresh threads take eight consecutive stripes (round-robin),
+    // so every cell holds a count before the reset.
+    Counter c;
+    onThreads(kWriters, [&c] { c.add(3); });
+    ASSERT_EQ(c.get(), 3 * kWriters);
+    c.reset();
+    EXPECT_EQ(c.get(), 0u);
+    onThreads(kWriters, [&c] { c.add(); });
+    EXPECT_EQ(c.get(), kWriters);
+}
+
+TEST(ObsCounter, ConcurrentAddsGiveExactSnapshotDeltas)
+{
+    Registry registry;
+    Counter &hot = registry.counter("hot");
+    registry.counter("steady").add(5);
+    hot.add(2);
+    const Snapshot before = registry.snapshot();
+    onThreads(kWriters, [&hot] {
+        for (uint64_t i = 0; i < kAddsPerWriter; ++i)
+            hot.add();
+    });
+    const auto deltas = registry.snapshot().countersSince(before);
+    ASSERT_EQ(deltas.size(), 1u);
+    EXPECT_EQ(deltas[0].name, "hot");
+    EXPECT_EQ(deltas[0].value, kWriters * kAddsPerWriter);
 }
 
 TEST(ObsTimer, RecordAndMean)
