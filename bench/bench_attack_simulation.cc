@@ -14,7 +14,7 @@
 #include "bench/harness.h"
 #include "core/design_solver.h"
 #include "crypto/password_model.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/table.h"
 
 using namespace lemons;
@@ -69,15 +69,15 @@ LEMONS_BENCH(attackSimulation, "attack.brute_force")
         // MC: attacker gets as many attempts as this chip instance
         // physically serves; they win if the victim's password rank
         // falls within that.
-        const sim::MonteCarlo engine(20260706, trials);
-        const auto ci = engine.estimateProbability([&](Rng &rng) {
-            const uint64_t hardwareBound =
-                arch::sampleSerialCopiesTotalAccesses(
-                    factory, design.width, design.threshold,
-                    design.copies, rng);
-            Rng user = rng.split(1);
-            return policy.sampleGuessRank(user) <= hardwareBound;
-        });
+        const auto ci = engine::estimateProbability(
+            20260706, trials, [&](Rng &rng) {
+                const uint64_t hardwareBound =
+                    arch::sampleSerialCopiesTotalAccesses(
+                        factory, design.width, design.threshold,
+                        design.copies, rng);
+                Rng user = rng.split(1);
+                return policy.sampleGuessRank(user) <= hardwareBound;
+            });
         ctx.keep(ci.estimate);
 
         table.addRow({s.label, formatCount(design.totalDevices),

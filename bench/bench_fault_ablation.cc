@@ -30,8 +30,8 @@
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
 #include "core/design_solver.h"
+#include "engine/engine.h"
 #include "fault/fault_plan.h"
-#include "sim/monte_carlo.h"
 #include "util/math.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -59,9 +59,8 @@ CellResult
 runCell(const Design &design, const fault::FaultyDeviceFactory &factory,
         uint64_t trials)
 {
-    const sim::MonteCarlo mc(kSeed, trials);
-    const sim::TrialReport report = mc.run(
-        [&](Rng &rng) {
+    const engine::TrialReport report = engine::runTrials(
+        kSeed, {.trials = trials, .threads = 0}, [&](Rng &rng, uint64_t) {
             const arch::FaultyArchitectureOutcome outcome =
                 arch::sampleFaultySerialCopiesOutcome(
                     factory, design.width, design.threshold, design.copies,
@@ -69,8 +68,7 @@ runCell(const Design &design, const fault::FaultyDeviceFactory &factory,
             if (outcome.unbounded)
                 return std::numeric_limits<double>::infinity();
             return static_cast<double>(outcome.totalAccesses);
-        },
-        {.threads = 0});
+        });
 
     uint64_t labSurvivals = 0;
     std::vector<double> bounded;

@@ -18,7 +18,7 @@
 #include "arch/structures.h"
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/table.h"
 
 using namespace lemons;
@@ -70,8 +70,7 @@ LEMONS_BENCH(fig3bParallel, "fig3.techniques.parallel")
     // Monte Carlo cross-check at the cliff.
     const DeviceFactory factory({9.3, 12.0}, ProcessVariation::none());
     const uint64_t trials = ctx.scaled(100000, 1000);
-    const sim::MonteCarlo engine(33, trials);
-    const auto ci10 = engine.estimateProbability([&](Rng &rng) {
+    const auto ci10 = engine::estimateProbability(33, trials, [&](Rng &rng) {
         return arch::sampleParallelSurvivedAccesses(factory, 40, 1, rng) >=
                10;
     });
@@ -114,8 +113,7 @@ LEMONS_BENCH(fig3cCoded, "fig3.techniques.rs_coded")
 
     const DeviceFactory factory({20.0, 12.0}, ProcessVariation::none());
     const uint64_t trials = ctx.scaled(100000, 1000);
-    const sim::MonteCarlo engine(34, trials);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(34, trials, [&](Rng &rng) {
         return arch::sampleParallelSurvivedAccesses(factory, 60, 30, rng) >=
                19;
     });

@@ -13,7 +13,7 @@
 
 #include "bench/harness.h"
 #include "core/explorer.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/table.h"
 #include "wearout/population.h"
 
@@ -95,8 +95,7 @@ LEMONS_BENCH(fig8OtpMonteCarlo, "fig8.otp.monte_carlo")
 
     params.height = 4;
     const uint64_t pads = ctx.scaled(300, 30);
-    const sim::MonteCarlo engine(77, pads);
-    const auto recvCi = engine.estimateProbability([&](Rng &rng) {
+    const auto recvCi = engine::estimateProbability(77, pads, [&](Rng &rng) {
         OneTimePad pad(params, key, 3, factory, rng);
         return pad.retrieve(3).has_value();
     });
@@ -107,7 +106,7 @@ LEMONS_BENCH(fig8OtpMonteCarlo, "fig8.otp.monte_carlo")
     ctx.keep(recvCi.estimate);
 
     params.height = 2;
-    const auto advCi = engine.estimateProbability([&](Rng &rng) {
+    const auto advCi = engine::estimateProbability(77, pads, [&](Rng &rng) {
         OneTimePad pad(params, key, 1, factory, rng);
         Rng attacker = rng.split(13);
         return pad.randomPathAttack(attacker).has_value();

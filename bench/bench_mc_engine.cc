@@ -20,8 +20,8 @@
 #include "bench/harness.h"
 #include "engine/batch.h"
 #include "engine/cache.h"
+#include "engine/engine.h"
 #include "obs/metrics.h"
-#include "sim/monte_carlo.h"
 #include "wearout/population.h"
 #include "wearout/weibull.h"
 
@@ -83,11 +83,11 @@ LEMONS_BENCH(mcEstimateProbability, "mc.estimate_probability")
     const wearout::DeviceFactory factory({9.3, 12.0},
                                          wearout::ProcessVariation::none());
     const uint64_t trials = ctx.scaled(20000, 500);
-    const sim::MonteCarlo mc(ctx.seed(), trials);
-    const auto ci = mc.estimateProbability([&](Rng &rng) {
-        return arch::sampleParallelSurvivedAccesses(factory, 40, 1, rng) >=
-               10;
-    });
+    const auto ci =
+        engine::estimateProbability(ctx.seed(), trials, [&](Rng &rng) {
+            return arch::sampleParallelSurvivedAccesses(factory, 40, 1,
+                                                        rng) >= 10;
+        });
     ctx.keep(ci.estimate);
     ctx.metric("items", static_cast<double>(trials));
 }
@@ -99,15 +99,16 @@ LEMONS_BENCH(mcRunStatsParallel, "mc.run_stats_parallel")
     const wearout::DeviceFactory factory({9.3, 12.0},
                                          wearout::ProcessVariation::none());
     const uint64_t trials = ctx.scaled(20000, 500);
-    const sim::MonteCarlo mc(ctx.seed(), trials);
-    const auto report = mc.run(
-        [&](Rng &rng) {
+    const auto report = engine::runTrials(
+        ctx.seed(),
+        {.trials = trials,
+         .threads = 2,
+         .keepSamples = false,
+         .faults = engine::FaultPolicy::Rethrow},
+        [&](Rng &rng, uint64_t) {
             return static_cast<double>(
                 arch::sampleParallelSurvivedAccesses(factory, 40, 1, rng));
-        },
-        {.threads = 2,
-         .keepSamples = false,
-         .faults = sim::FaultPolicy::Rethrow});
+        });
     ctx.keep(report.stats.mean());
     ctx.metric("items", static_cast<double>(trials));
 }
@@ -130,10 +131,12 @@ LEMONS_BENCH(mcEngineRunLarge, "mc_engine.run_large")
     const wearout::DeviceFactory factory({9.3, 12.0},
                                          wearout::ProcessVariation::none());
     const uint64_t trials = ctx.scaled(20000, 500);
-    const sim::MonteCarlo mc(ctx.seed(), trials);
-    const auto report = mc.run(
-        [&](Rng &rng) { return largeTrialMetric(factory, rng); },
-        {.threads = 2, .faults = sim::FaultPolicy::Rethrow});
+    const auto report = engine::runTrials(
+        ctx.seed(),
+        {.trials = trials,
+         .threads = 2,
+         .faults = engine::FaultPolicy::Rethrow},
+        [&](Rng &rng, uint64_t) { return largeTrialMetric(factory, rng); });
     ctx.keep(report.stats.mean());
     ctx.metric("items", static_cast<double>(trials));
 }
@@ -182,14 +185,15 @@ LEMONS_BENCH(mcEngineEarlyStop, "mc_engine.early_stop")
     const wearout::DeviceFactory factory({9.3, 12.0},
                                          wearout::ProcessVariation::none());
     const uint64_t trials = ctx.scaled(200000, 2000);
-    const sim::MonteCarlo mc(ctx.seed(), trials);
-    const auto report = mc.run(
-        [&](Rng &rng) { return largeTrialMetric(factory, rng); },
-        {.chunkSize = 256,
-         .faults = sim::FaultPolicy::Rethrow,
-         .earlyStop = sim::EarlyStop{.relHalfWidth = 0.01,
-                                     .minTrials = 1024,
-                                     .checkEveryChunks = 4}});
+    const auto report = engine::runTrials(
+        ctx.seed(),
+        {.trials = trials,
+         .chunkSize = 256,
+         .faults = engine::FaultPolicy::Rethrow,
+         .earlyStop = engine::EarlyStop{.relHalfWidth = 0.01,
+                                        .minTrials = 1024,
+                                        .checkEveryChunks = 4}},
+        [&](Rng &rng, uint64_t) { return largeTrialMetric(factory, rng); });
     ctx.keep(report.stats.mean());
     ctx.metric("items", static_cast<double>(report.trials));
     ctx.metric("trials_requested", static_cast<double>(trials));
@@ -210,16 +214,17 @@ LEMONS_BENCH(mcEnginePoolReuse, "mc_engine.pool_reuse")
     const uint64_t createdBefore = created.get();
     double acc = 0.0;
     for (uint64_t r = 0; r < runs; ++r) {
-        const sim::MonteCarlo mc(ctx.seed() + r, 64);
-        acc += mc.run(
-                     [&](Rng &rng) {
-                         return static_cast<double>(
-                             arch::sampleParallelSurvivedAccesses(
-                                 factory, 40, 1, rng));
-                     },
-                     {.threads = 2,
-                      .chunkSize = 16,
-                      .faults = sim::FaultPolicy::Rethrow})
+        acc += engine::runTrials(
+                   ctx.seed() + r,
+                   {.trials = 64,
+                    .threads = 2,
+                    .chunkSize = 16,
+                    .faults = engine::FaultPolicy::Rethrow},
+                   [&](Rng &rng, uint64_t) {
+                       return static_cast<double>(
+                           arch::sampleParallelSurvivedAccesses(factory, 40,
+                                                                1, rng));
+                   })
                    .stats.mean();
     }
     ctx.keep(acc);

@@ -14,7 +14,7 @@
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
 #include "core/design_solver.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "wearout/mixture.h"
@@ -35,18 +35,20 @@ sweep(lemons::bench::BenchContext &ctx, const char *label,
     Table table({"infant fraction", "mean total", "q0.1%",
                  "min bound held?", "q99.9% (attacker view)"});
     const uint64_t trials = ctx.scaled(2000, 100);
-    const sim::MonteCarlo engine(90210, trials);
     for (double w : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
         const wearout::BathtubModel mix =
             wearout::BathtubModel::withInfantMortality(assumed, w);
-        const auto report = engine.run(
-            [&](Rng &rng) {
+        const auto report = engine::runTrials(
+            90210,
+            {.trials = trials,
+             .threads = 0,
+             .faults = engine::FaultPolicy::Rethrow},
+            [&](Rng &rng, uint64_t) {
                 return static_cast<double>(
                     arch::sampleSerialCopiesTotalAccesses(
                         mix, design.width, design.threshold,
                         design.copies, rng));
-            },
-            {.threads = 0, .faults = sim::FaultPolicy::Rethrow});
+            });
         const RunningStats &stats = report.stats;
         const double q001 = quantile(report.samples, 0.001);
         const double q999 = quantile(report.samples, 0.999);

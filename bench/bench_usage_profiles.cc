@@ -36,6 +36,7 @@ constexpr Profile kProfiles[] = {
 };
 
 constexpr uint64_t kHorizonDays = 5 * 365;
+constexpr uint64_t kSeed = 20170624;
 
 } // namespace
 
@@ -44,19 +45,17 @@ LEMONS_BENCH(usageSurvival, "usage.survival_probability")
     ctx.out() << "=== Usage profiles vs the 91,250-access budget "
                  "(5-year horizon) ===\n\n";
     const uint64_t trials = ctx.scaled(2000, 50);
-    const MonteCarlo engine(20170624, trials);
 
     ctx.out() << "--- survival probability of fixed budgets ---\n";
     Table table({"profile", "eff. mean/day", "P(91,250 lasts)",
                  "P(2x lasts)", "budget for 99%"});
     for (const Profile &p : kProfiles) {
-        const auto p1 =
-            survivalProbability(p.profile, 91250, kHorizonDays, engine);
-        const auto p2 =
-            survivalProbability(p.profile, 2 * 91250, kHorizonDays,
-                                engine);
-        const uint64_t needed =
-            budgetForSurvival(p.profile, kHorizonDays, 0.99, engine);
+        const auto p1 = survivalProbability(p.profile, 91250, kHorizonDays,
+                                            kSeed, trials);
+        const auto p2 = survivalProbability(p.profile, 2 * 91250,
+                                            kHorizonDays, kSeed, trials);
+        const uint64_t needed = budgetForSurvival(p.profile, kHorizonDays,
+                                                  0.99, kSeed, trials);
         ctx.keep(p1.estimate + p2.estimate +
                  static_cast<double>(needed));
         table.addRow({p.label,
@@ -72,7 +71,6 @@ LEMONS_BENCH(usageSurvival, "usage.survival_probability")
 LEMONS_BENCH(usageMway, "usage.mway_factors")
 {
     const uint64_t trials = ctx.scaled(2000, 50);
-    const MonteCarlo engine(20170624, trials);
 
     ctx.out() << "--- implied M-way replication factors "
                  "(Section 4.1.5) ---\n";
@@ -80,7 +78,7 @@ LEMONS_BENCH(usageMway, "usage.mway_factors")
                 "re-encrypt every"});
     for (const Profile &p : kProfiles) {
         const uint64_t needed =
-            budgetForSurvival(p.profile, kHorizonDays, 0.999, engine);
+            budgetForSurvival(p.profile, kHorizonDays, 0.999, kSeed, trials);
         const uint64_t m = (needed + 91249) / 91250;
         ctx.keep(static_cast<double>(needed));
         mway.addRow({p.label, formatCount(needed), formatCount(m),

@@ -40,7 +40,7 @@ class BenchContext
 
     /**
      * Per-rep RNG seed, derived by the harness from (--seed, rep) via
-     * SplitMix64. Benchmark bodies that sample (MonteCarlo runs, Rng
+     * SplitMix64. Benchmark bodies that sample (runTrials calls, Rng
      * streams) should seed from this instead of a hardcoded constant:
      * a fixed seed replays the identical stream every rep, so the
      * reported median is the median of one sample repeated, not of

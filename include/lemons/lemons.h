@@ -64,9 +64,8 @@
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
 
-// sim: the Monte Carlo front end, workloads, empirical distributions.
+// sim: usage workloads and empirical distributions.
 #include "sim/empirical.h"
-#include "sim/monte_carlo.h"
 #include "sim/workload.h"
 
 // fleet: crash-safe fleet lifecycle campaigns and checkpointing.

@@ -7,10 +7,10 @@
 #include "analysis/report.h"
 #include "api/codec.h"
 #include "arch/structures_sim.h"
+#include "engine/engine.h"
 #include "lint/spec_file.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "sim/monte_carlo.h"
 #include "verify/verifier.h"
 #include "wearout/population.h"
 
@@ -187,18 +187,18 @@ Service::mcRun(std::string_view body, const McExecution &exec) const
         const wearout::DeviceFactory factory(
             spec.device, wearout::ProcessVariation::none());
 
-        sim::McRunOptions options;
-        options.trials = request.trials;
-        options.threads = request.threads;
-        options.keepSamples = false;
-        options.cancel = exec.cancel;
-        options.deadline = exec.deadline;
+        const engine::McRunOptions options{.trials = request.trials,
+                                           .threads = request.threads,
+                                           .keepSamples = false,
+                                           .cancel = exec.cancel,
+                                           .deadline = exec.deadline};
 
         const bool parallel =
             spec.kind == lint::StructureSpec::Kind::Parallel;
         const size_t n = spec.n;
         const size_t k = spec.k;
-        const auto metric = [&factory, parallel, n, k](Rng &rng) {
+        const auto metric = [&factory, parallel, n, k](Rng &rng,
+                                                       uint64_t) {
             const uint64_t survived = parallel
                 ? arch::sampleParallelSurvivedAccesses(factory, n, k, rng)
                 : arch::sampleSeriesSurvivedAccesses(factory, n, rng);
@@ -207,8 +207,8 @@ Service::mcRun(std::string_view body, const McExecution &exec) const
 
         // Distinct seeds per section keep the per-section streams
         // independent while the whole request stays reproducible.
-        const sim::MonteCarlo mc(request.seed + index, request.trials);
-        const sim::TrialReport report = mc.run(metric, options);
+        const engine::TrialReport report =
+            engine::runTrials(request.seed + index, options, metric);
 
         McStructureResult out;
         out.kind = parallel ? "parallel" : "series";

@@ -1,7 +1,7 @@
 #include "core/usage_bounds.h"
 
 #include "arch/structures_sim.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/require.h"
 #include "util/stats.h"
 
@@ -14,15 +14,16 @@ estimateUsageBounds(const Design &design, const wearout::DeviceSpec &device,
 {
     requireArg(design.feasible, "estimateUsageBounds: design is infeasible");
     const wearout::DeviceFactory factory(device, variation);
-    const sim::MonteCarlo mc(seed, trials);
-
-    const sim::TrialReport report = mc.run(
-        [&](Rng &rng) {
+    const engine::TrialReport report = engine::runTrials(
+        seed,
+        {.trials = trials,
+         .threads = 0,
+         .faults = engine::FaultPolicy::Rethrow},
+        [&](Rng &rng, uint64_t) {
             return static_cast<double>(arch::sampleSerialCopiesTotalAccesses(
                 factory, design.width, design.threshold, design.copies,
                 rng));
-        },
-        {.threads = 0, .faults = sim::FaultPolicy::Rethrow});
+        });
 
     UsageBounds bounds;
     bounds.meanTotalAccesses = report.stats.mean();

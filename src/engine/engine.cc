@@ -444,4 +444,17 @@ runTrials(uint64_t seed, const McRunOptions &options,
     return report;
 }
 
+ProportionInterval
+estimateProbability(uint64_t seed, uint64_t trials,
+                    const std::function<bool(Rng &)> &event)
+{
+    LEMONS_OBS_SCOPED_TIMER("sim.mc.estimate_probability");
+    const TrialReport report = runTrials(
+        seed, {.trials = trials, .threads = 0, .faults = FaultPolicy::Rethrow},
+        [&event](Rng &rng, uint64_t) { return event(rng) ? 1.0 : 0.0; });
+    const auto successes = static_cast<uint64_t>(std::count(
+        report.samples.begin(), report.samples.end(), 1.0));
+    return wilsonInterval(successes, report.trials);
+}
+
 } // namespace lemons::engine

@@ -2,9 +2,9 @@
  * @file
  * Batched, cache-aware Monte Carlo execution engine.
  *
- * One entry point — runTrials — is the execution substrate behind
- * every simulation in the library (sim::MonteCarlo::run delegates
- * here). Trial i always uses the counter-based stream
+ * One entry point — runTrials — runs every Monte Carlo simulation in
+ * the library; estimateProbability is a thin event-counting helper on
+ * top of it. Trial i always uses the counter-based stream
  * Rng::trialStream(seed, i) (Philox keyed on (seed, trial, draw)), so
  * per-trial results are bit-identical at any parallelism and SIMD
  * dispatch level.
@@ -153,11 +153,12 @@ enum class FaultPolicy {
 /**
  * One options struct instead of an overload family: every knob of a
  * Monte Carlo run in a single place, with zero-means-default
- * semantics so call sites only spell what they change.
+ * semantics for the tuning knobs so call sites only spell what they
+ * change.
  */
 struct McRunOptions
 {
-    /** Trial count; 0 = the caller's configured default. */
+    /** Trial count (> 0; runTrials rejects 0). */
     uint64_t trials = 0;
     /** Executor count; 1 = inline on the caller, 0 = every CPU in the
      *  process's affinity mask. */
@@ -280,10 +281,20 @@ using TrialMetric = std::function<double(Rng &, uint64_t)>;
  * Run @p metric for trials [0, options.trials) with trial i on the
  * counter-based stream Rng::trialStream(@p seed, i), under the
  * execution policy in @p options.
- * @pre options.trials > 0 (callers resolve their own defaults).
+ * @pre options.trials > 0.
  */
 TrialReport runTrials(uint64_t seed, const McRunOptions &options,
                       const TrialMetric &metric);
+
+/**
+ * Estimate P(@p event) over @p trials trials of runTrials(@p seed),
+ * with a Wilson 95 % interval. Runs on every CPU the process may use
+ * (the estimate is the same at any thread count), so @p event must be
+ * safe to call concurrently; a throwing event is rethrown.
+ */
+ProportionInterval
+estimateProbability(uint64_t seed, uint64_t trials,
+                    const std::function<bool(Rng &)> &event);
 
 } // namespace lemons::engine
 

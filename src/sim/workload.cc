@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "engine/engine.h"
 #include "obs/metrics.h"
 #include "util/require.h"
 
@@ -110,9 +111,9 @@ simulateUsage(const UsageProfile &profile, uint64_t budgetAccesses,
 
 ProportionInterval
 survivalProbability(const UsageProfile &profile, uint64_t budgetAccesses,
-                    uint64_t horizonDays, const MonteCarlo &engine)
+                    uint64_t horizonDays, uint64_t seed, uint64_t trials)
 {
-    return engine.estimateProbability([&](Rng &rng) {
+    return engine::estimateProbability(seed, trials, [&](Rng &rng) {
         return simulateUsage(profile, budgetAccesses, horizonDays, rng)
             .survivedHorizon;
     });
@@ -120,7 +121,7 @@ survivalProbability(const UsageProfile &profile, uint64_t budgetAccesses,
 
 uint64_t
 budgetForSurvival(const UsageProfile &profile, uint64_t horizonDays,
-                  double targetProbability, const MonteCarlo &engine)
+                  double targetProbability, uint64_t seed, uint64_t trials)
 {
     requireArg(targetProbability > 0.0 && targetProbability < 1.0,
                "budgetForSurvival: target outside (0, 1)");
@@ -132,12 +133,15 @@ budgetForSurvival(const UsageProfile &profile, uint64_t horizonDays,
     // reaches the target is the m-th smallest D_t, where m is the
     // smallest success count whose estimate (the same double quotient
     // as wilsonInterval's) reaches it. One pass answers every budget.
-    TrialReport report = engine.run(
-        [&](Rng &rng) {
+    engine::TrialReport report = engine::runTrials(
+        seed,
+        {.trials = trials,
+         .threads = 0,
+         .faults = engine::FaultPolicy::Rethrow},
+        [&](Rng &rng, uint64_t) {
             return static_cast<double>(
                 horizonDemand(profile, horizonDays, rng));
-        },
-        {.threads = 0, .faults = FaultPolicy::Rethrow});
+        });
     std::vector<double> &demands = report.samples;
     const auto n = static_cast<double>(report.trials);
     size_t m = 1;

@@ -17,8 +17,8 @@
 
 #include <cstdint>
 
-#include "sim/monte_carlo.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace lemons::sim {
 
@@ -65,12 +65,13 @@ LifetimeOutcome simulateUsage(const UsageProfile &profile,
 
 /**
  * Monte Carlo estimate of P(budget survives the horizon) under
- * @p profile.
+ * @p profile, from @p trials trials of engine::estimateProbability at
+ * @p seed.
  */
 ProportionInterval survivalProbability(const UsageProfile &profile,
                                        uint64_t budgetAccesses,
-                                       uint64_t horizonDays,
-                                       const MonteCarlo &engine);
+                                       uint64_t horizonDays, uint64_t seed,
+                                       uint64_t trials);
 
 /**
  * Smallest access budget (at least 1) whose survivalProbability point
@@ -80,13 +81,13 @@ ProportionInterval survivalProbability(const UsageProfile &profile,
  * m-th smallest D_t, m the smallest success count whose estimate
  * m / trials (the same double quotient as wilsonInterval) reaches the
  * target. This is bit-identical to bisecting over survivalProbability
- * with the same engine, at one pass instead of about twenty. The pass
- * runs on every CPU the process may use; the answer is deterministic
- * given the engine's seed, at any thread count.
+ * with the same (seed, trials), at one pass instead of about twenty.
+ * The pass runs on every CPU the process may use; the answer is
+ * deterministic given @p seed, at any thread count.
  */
 uint64_t budgetForSurvival(const UsageProfile &profile,
                            uint64_t horizonDays, double targetProbability,
-                           const MonteCarlo &engine);
+                           uint64_t seed, uint64_t trials);
 
 } // namespace lemons::sim
 

@@ -11,11 +11,14 @@ namespace lemons {
 
 namespace {
 
-/** Full-token strtoull: rejects "8x", "-1", and empty strings. */
+/** Full-token strtoull: rejects "8x", "-1", " -1", and empty strings. */
 bool
 parseUint64(const std::string &token, uint64_t &out)
 {
-    if (token.empty() || token.front() == '-')
+    // strtoull skips leading whitespace and then negates a '-' into a
+    // huge value, so look past the whitespace for the sign.
+    const size_t first = token.find_first_not_of(" \t\n\v\f\r");
+    if (first == std::string::npos || token[first] == '-')
         return false;
     errno = 0;
     char *end = nullptr;

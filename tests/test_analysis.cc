@@ -2,9 +2,8 @@
  * @file
  * The wear-budget abstract interpreter: the AccessBracket lattice and
  * its widening, the capacity/demand dataflow over hand-built IR
- * graphs, the A-code catalog goldens on seeded-violation configs, the
- * clean bill of health on every shipped example config, and the
- * lemons-analyze/1 JSON report schema.
+ * graphs, the A-code catalog goldens on seeded-violation configs, and
+ * the clean bill of health on every shipped example config.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 
 #include "analysis/bracket.h"
 #include "analysis/passes.h"
-#include "analysis/report.h"
 #include "ir/graph.h"
 #include "lint/diagnostics.h"
 #include "lint/rules.h"
@@ -428,26 +426,6 @@ TEST(Analyze, UnreadableFileYieldsEmptyAnalysis)
         analysis::analyzeSpecFile(configPath("no_such_file.lemons"));
     EXPECT_TRUE(analysis.graphs.empty());
     EXPECT_TRUE(analysis.findings.empty());
-}
-
-// --- the JSON report ----------------------------------------------------
-
-TEST(AnalyzeJson, ReportCarriesSchemaAndBrackets)
-{
-    analysis::AnalyzedFile entry;
-    entry.analysis = analysis::analyzeSpecFile(
-        configPath("smartphone_unlock.lemons"));
-    entry.findings = entry.analysis.findings;
-    const std::string json = analysis::renderAnalysisJson({entry});
-
-    EXPECT_NE(json.find("\"schema\":\"lemons-analyze/1\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"graphs\""), std::string::npos);
-    EXPECT_NE(json.find("\"system_capacity\""), std::string::npos);
-    EXPECT_NE(json.find("\"adversaries\""), std::string::npos);
-    // Unbounded endpoints serialize as null, never as bare inf (which
-    // would break every JSON parser downstream).
-    EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
 // --- the shared code registry -------------------------------------------

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "analysis/passes.h"
+#include "analysis/report.h"
 #include "api/codec.h"
 #include "api/json.h"
 #include "api/service.h"
@@ -197,6 +199,23 @@ TEST(ApiEnvelope, DiagnosticsCarryTheFullFindingShape)
     EXPECT_EQ(finding.find("message")->asString(), "out of range");
     EXPECT_EQ(finding.find("hint")->asString(), "use fewer trials");
     ASSERT_NE(finding.find("file"), nullptr);
+}
+
+TEST(ApiEnvelope, AnalyzeReportCarriesSchemaAndBrackets)
+{
+    analysis::AnalyzedFile entry;
+    entry.analysis = analysis::analyzeSpecFile(
+        std::string(LEMONS_CONFIG_DIR) + "/smartphone_unlock.lemons");
+    entry.findings = entry.analysis.findings;
+    const std::string json = renderAnalysisEnvelope({entry});
+
+    EXPECT_NE(json.find("\"schema\":\"lemons-api/1\""), std::string::npos);
+    EXPECT_NE(json.find("\"graphs\""), std::string::npos);
+    EXPECT_NE(json.find("\"system_capacity\""), std::string::npos);
+    EXPECT_NE(json.find("\"adversaries\""), std::string::npos);
+    // Unbounded endpoints serialize as null, never as bare inf (which
+    // would break every JSON parser downstream).
+    EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

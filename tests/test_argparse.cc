@@ -183,8 +183,12 @@ TEST(ArgParse, MalformedNumbersAreErrors)
     EXPECT_EQ(parse(parser, {"--threads", "8x"}),
               ArgParser::Outcome::Error);
     EXPECT_EQ(threads, 1u);
-    EXPECT_EQ(parse(parser, {"--seed", ""}), ArgParser::Outcome::Error);
-    EXPECT_EQ(seed, 7u);
+    // strtoull would wrap a whitespace-led "-1" to 2^64 - 1.
+    for (const char *bad : {"", " -1", "\t-5"}) {
+        EXPECT_EQ(parse(parser, {"--seed", bad}), ArgParser::Outcome::Error)
+            << '"' << bad << '"';
+        EXPECT_EQ(seed, 7u);
+    }
     EXPECT_EQ(parse(parser, {"--scale", "fast"}),
               ArgParser::Outcome::Error);
     EXPECT_DOUBLE_EQ(scale, 1.0);

@@ -9,7 +9,7 @@
 #include <cmath>
 
 #include "core/decision_tree.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/math.h"
 
 namespace lemons::core {
@@ -278,8 +278,7 @@ TEST(OneTimePad, ReceiverSuccessRateMatchesAnalytics)
     const OtpParams params = paperParams(4, 8);
     const OtpAnalytics analytics(params);
     const DeviceFactory factory({10.0, 1.0}, ProcessVariation::none());
-    const sim::MonteCarlo engine(12, 400);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(12, 400, [&](Rng &rng) {
         OneTimePad pad(params, padKey(), 5, factory, rng);
         return pad.retrieve(5).has_value();
     });
@@ -295,8 +294,7 @@ TEST(OneTimePad, AdversarySuccessRateMatchesAnalytics)
     const OtpParams params = paperParams(2, 8);
     const OtpAnalytics analytics(params);
     const DeviceFactory factory({10.0, 1.0}, ProcessVariation::none());
-    const sim::MonteCarlo engine(13, 400);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(13, 400, [&](Rng &rng) {
         OneTimePad pad(params, padKey(), 1, factory, rng);
         Rng attacker = rng.split(999);
         return pad.randomPathAttack(attacker).has_value();
@@ -310,8 +308,7 @@ TEST(OneTimePad, TallTreeDefeatsAdversaryInSimulation)
 {
     const OtpParams params = paperParams(8, 8);
     const DeviceFactory factory({10.0, 1.0}, ProcessVariation::none());
-    const sim::MonteCarlo engine(14, 100);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(14, 100, [&](Rng &rng) {
         OneTimePad pad(params, padKey(), 77, factory, rng);
         Rng attacker = rng.split(31337);
         return pad.randomPathAttack(attacker).has_value();

@@ -22,13 +22,13 @@
 #include <vector>
 
 #include "arch/structures_sim.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "wearout/population.h"
 #include "wearout/weibull.h"
 
-namespace lemons::sim {
+namespace lemons::engine {
 namespace {
 
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
@@ -40,7 +40,7 @@ constexpr uint64_t kChunk = 64;
 /** A nontrivial metric: structure lifetime of a 40-of-60 parallel
  *  structure, consuming 60 Rng draws per trial. */
 double
-structureMetric(Rng &rng)
+structureMetric(Rng &rng, uint64_t)
 {
     const wearout::Weibull device(10.0, 12.0);
     const arch::LifetimeSampler sampler = [&](Rng &r) {
@@ -64,16 +64,19 @@ expectBitIdentical(const std::vector<double> &got,
 
 TEST(Determinism, PooledSamplesBitIdenticalToSerial)
 {
-    const MonteCarlo engine(4242, 501); // odd count: tail-chunk remainder
+    // Odd trial count: tail-chunk remainder.
     const std::vector<double> serial =
-        engine.run(structureMetric, {.faults = FaultPolicy::Rethrow})
+        runTrials(4242, {.trials = 501, .faults = FaultPolicy::Rethrow},
+                  structureMetric)
             .samples;
     for (const unsigned threads : kThreadCounts) {
         const std::vector<double> pooled =
-            engine
-                .run(structureMetric, {.threads = threads,
-                                       .chunkSize = kChunk,
-                                       .faults = FaultPolicy::Rethrow})
+            runTrials(4242,
+                      {.trials = 501,
+                       .threads = threads,
+                       .chunkSize = kChunk,
+                       .faults = FaultPolicy::Rethrow},
+                      structureMetric)
                 .samples;
         expectBitIdentical(pooled, serial);
     }
@@ -81,17 +84,19 @@ TEST(Determinism, PooledSamplesBitIdenticalToSerial)
 
 TEST(Determinism, StreamingStatsMatchSerialAtAnyThreadCount)
 {
-    const MonteCarlo engine(4242, 501);
     const RunningStats serial =
-        engine.run(structureMetric, {.faults = FaultPolicy::Rethrow})
+        runTrials(4242, {.trials = 501, .faults = FaultPolicy::Rethrow},
+                  structureMetric)
             .stats;
     for (const unsigned threads : kThreadCounts) {
         const RunningStats streamed =
-            engine
-                .run(structureMetric, {.threads = threads,
-                                       .chunkSize = kChunk,
-                                       .keepSamples = false,
-                                       .faults = FaultPolicy::Rethrow})
+            runTrials(4242,
+                      {.trials = 501,
+                       .threads = threads,
+                       .chunkSize = kChunk,
+                       .keepSamples = false,
+                       .faults = FaultPolicy::Rethrow},
+                      structureMetric)
                 .stats;
         // Count and extrema are exact at any worker count; mean and
         // variance agree up to floating-point reassociation.
@@ -113,17 +118,18 @@ TEST(Determinism, StreamingStatsBitIdenticalAcrossThreadCounts)
     // the chunk size — so even the reassociation-sensitive moments are
     // bit-identical at ANY thread count (the old strided engine only
     // promised this per fixed thread count).
-    const MonteCarlo engine(9001, 300);
-    const McRunOptions base{.chunkSize = kChunk,
+    const McRunOptions base{.trials = 300,
+                            .chunkSize = kChunk,
                             .keepSamples = false,
                             .faults = FaultPolicy::Rethrow};
     McRunOptions two = base;
     two.threads = 2;
-    const RunningStats a = engine.run(structureMetric, two).stats;
+    const RunningStats a = runTrials(9001, two, structureMetric).stats;
     for (const unsigned threads : kThreadCounts) {
         McRunOptions options = base;
         options.threads = threads;
-        const RunningStats b = engine.run(structureMetric, options).stats;
+        const RunningStats b =
+            runTrials(9001, options, structureMetric).stats;
         EXPECT_EQ(std::bit_cast<uint64_t>(a.mean()),
                   std::bit_cast<uint64_t>(b.mean()))
             << threads;
@@ -135,15 +141,15 @@ TEST(Determinism, StreamingStatsBitIdenticalAcrossThreadCounts)
 
 TEST(Determinism, CapturedFailuresAreThreadInvariant)
 {
-    const MonteCarlo engine(7, 200);
     const auto metric = [](Rng &rng, uint64_t trial) -> double {
         if (trial == 57 || trial == 133)
             throw std::runtime_error("trial " + std::to_string(trial));
         return rng.nextDouble();
     };
     for (const unsigned threads : kThreadCounts) {
-        const TrialReport report = engine.run(
-            metric, {.threads = threads, .chunkSize = kChunk});
+        const TrialReport report = runTrials(
+            7, {.trials = 200, .threads = threads, .chunkSize = kChunk},
+            metric);
         ASSERT_EQ(report.failedTrials.size(), 2u) << threads;
         EXPECT_EQ(report.failedTrials[0], 57u);
         EXPECT_EQ(report.failedTrials[1], 133u);
@@ -154,8 +160,7 @@ TEST(Determinism, CapturedFailuresAreThreadInvariant)
 
 TEST(Determinism, RethrowPolicyThrowIsDeterministic)
 {
-    const MonteCarlo engine(7, 128);
-    const auto throwingMetric = [](Rng &rng) -> double {
+    const auto throwingMetric = [](Rng &rng, uint64_t) -> double {
         const double x = rng.nextDouble();
         if (x > 0.95)
             throw std::runtime_error("u = " + std::to_string(x));
@@ -165,10 +170,12 @@ TEST(Determinism, RethrowPolicyThrowIsDeterministic)
     std::string firstMessage;
     for (const unsigned threads : kThreadCounts) {
         try {
-            static_cast<void>(engine.run(
-                throwingMetric, {.threads = threads,
-                                 .chunkSize = 16,
-                                 .faults = FaultPolicy::Rethrow}));
+            static_cast<void>(runTrials(7,
+                                        {.trials = 128,
+                                         .threads = threads,
+                                         .chunkSize = 16,
+                                         .faults = FaultPolicy::Rethrow},
+                                        throwingMetric));
             FAIL() << "expected a rethrow at " << threads << " threads";
         } catch (const std::runtime_error &e) {
             if (firstMessage.empty())
@@ -183,7 +190,6 @@ TEST(Determinism, RethrowPolicyThrowIsDeterministic)
 
 TEST(Determinism, NonFiniteQuarantineIsThreadInvariant)
 {
-    const MonteCarlo engine(13, 400);
     const auto metric = [](Rng &rng, uint64_t trial) -> double {
         if (trial % 97 == 3)
             return std::numeric_limits<double>::infinity();
@@ -192,12 +198,14 @@ TEST(Determinism, NonFiniteQuarantineIsThreadInvariant)
         return rng.nextDouble();
     };
 
-    const TrialReport serial = engine.run(metric, {.threads = 1});
+    const TrialReport serial =
+        runTrials(13, {.trials = 400, .threads = 1}, metric);
     EXPECT_FALSE(serial.complete());
     EXPECT_FALSE(serial.nonFiniteTrials.empty());
     for (const unsigned threads : kThreadCounts) {
-        const TrialReport report = engine.run(
-            metric, {.threads = threads, .chunkSize = kChunk});
+        const TrialReport report = runTrials(
+            13, {.trials = 400, .threads = threads, .chunkSize = kChunk},
+            metric);
         EXPECT_EQ(report.trials, serial.trials);
         EXPECT_EQ(report.failedTrials, serial.failedTrials);
         EXPECT_EQ(report.nonFiniteTrials, serial.nonFiniteTrials);
@@ -216,21 +224,20 @@ TEST(Determinism, EarlyStopPointIsThreadInvariant)
     // Early stopping is decided at wave boundaries from chunk-ordered
     // streaming statistics, so the stopped trial count and the kept
     // samples are identical at any thread count.
-    const MonteCarlo engine(21, 100000);
     const McRunOptions base{
+        .trials = 100000,
         .chunkSize = 128,
         .faults = FaultPolicy::Rethrow,
         .earlyStop = EarlyStop{.relHalfWidth = 0.02,
                                .minTrials = 512,
                                .checkEveryChunks = 4}};
-    McRunOptions serialOptions = base;
-    const TrialReport serial = engine.run(structureMetric, serialOptions);
+    const TrialReport serial = runTrials(21, base, structureMetric);
     EXPECT_TRUE(serial.stoppedEarly);
     EXPECT_LT(serial.trials, serial.requestedTrials);
     for (const unsigned threads : kThreadCounts) {
         McRunOptions options = base;
         options.threads = threads;
-        const TrialReport report = engine.run(structureMetric, options);
+        const TrialReport report = runTrials(21, options, structureMetric);
         EXPECT_EQ(report.trials, serial.trials) << threads;
         EXPECT_EQ(report.stoppedEarly, serial.stoppedEarly) << threads;
         expectBitIdentical(report.samples, serial.samples);
@@ -251,7 +258,7 @@ TEST(Determinism, EarlyStopPointIsThreadInvariant)
  *  fill/extremum paths (SIMD when available) are on the hot path:
  *  a 1-of-40 parallel bank plus an 8-deep series chain per trial. */
 double
-nominalKernelMetric(Rng &rng)
+nominalKernelMetric(Rng &rng, uint64_t)
 {
     const wearout::DeviceFactory factory(
         {9.3, 12.0}, wearout::ProcessVariation::none());
@@ -305,15 +312,15 @@ TEST(Determinism, SimdLevelDoesNotChangeSamples)
     // whole run is bit-identical whichever path dispatch picks.
     if (simd::detectedLevel() == simd::Level::Scalar)
         GTEST_SKIP() << "host has no AVX2; scalar-vs-scalar is vacuous";
-    const MonteCarlo engine(kGoldenSeed, kGoldenTrials);
-    const McRunOptions options{.chunkSize = kChunk,
+    const McRunOptions options{.trials = kGoldenTrials,
+                               .chunkSize = kChunk,
                                .faults = FaultPolicy::Rethrow};
     simd::setLevelForTesting(simd::Level::Avx2);
     const std::vector<double> vectorized =
-        engine.run(nominalKernelMetric, options).samples;
+        runTrials(kGoldenSeed, options, nominalKernelMetric).samples;
     simd::setLevelForTesting(simd::Level::Scalar);
     const std::vector<double> scalar =
-        engine.run(nominalKernelMetric, options).samples;
+        runTrials(kGoldenSeed, options, nominalKernelMetric).samples;
     simd::clearLevelForTesting();
     expectBitIdentical(vectorized, scalar);
 }
@@ -327,12 +334,12 @@ TEST(Determinism, GoldenDigestAcrossThreadsChunksAndEarlyStopArming)
     // (A *firing* early stop legitimately depends on the chunk size,
     // because stop points are wave boundaries; thread invariance of
     // the fired case is pinned by EarlyStopPointIsThreadInvariant.)
-    const MonteCarlo engine(kGoldenSeed, kGoldenTrials);
     const uint64_t chunkSizes[] = {0, 1, 7, 4096};
     for (const unsigned threads : kThreadCounts) {
         for (const uint64_t chunk : chunkSizes) {
             for (const bool armed : {false, true}) {
                 McRunOptions options;
+                options.trials = kGoldenTrials;
                 options.threads = threads;
                 options.chunkSize = chunk;
                 options.faults = FaultPolicy::Rethrow;
@@ -342,7 +349,7 @@ TEST(Determinism, GoldenDigestAcrossThreadsChunksAndEarlyStopArming)
                                   .minTrials = kGoldenTrials,
                                   .checkEveryChunks = 1};
                 const TrialReport report =
-                    engine.run(nominalKernelMetric, options);
+                    runTrials(kGoldenSeed, options, nominalKernelMetric);
                 EXPECT_FALSE(report.stoppedEarly);
                 EXPECT_EQ(bitDigest(report.samples), kGoldenSampleDigest)
                     << "threads=" << threads << " chunk=" << chunk
@@ -356,35 +363,37 @@ TEST(Determinism, CheckpointResumeReproducesGoldenDigest)
 {
     // Resuming from any interior checkpoint lands on the same pinned
     // streaming digest as the uninterrupted run, at any thread count.
-    const MonteCarlo engine(kGoldenSeed, kGoldenTrials);
-    std::vector<engine::EngineCheckpoint> checkpoints;
+    std::vector<EngineCheckpoint> checkpoints;
     McRunOptions recording;
+    recording.trials = kGoldenTrials;
     recording.chunkSize = kChunk;
     recording.keepSamples = false;
     recording.faults = FaultPolicy::Rethrow;
     recording.checkpointEveryChunks = 2;
-    recording.checkpoint = [&](const engine::EngineCheckpoint &checkpoint) {
+    recording.checkpoint = [&](const EngineCheckpoint &checkpoint) {
         checkpoints.push_back(checkpoint);
     };
-    const TrialReport full = engine.run(nominalKernelMetric, recording);
+    const TrialReport full =
+        runTrials(kGoldenSeed, recording, nominalKernelMetric);
     EXPECT_EQ(statsDigest(full.stats), kGoldenStatsDigestChunk64);
     ASSERT_GE(checkpoints.size(), 2u);
-    const engine::EngineCheckpoint &mid = checkpoints[checkpoints.size() / 2];
+    const EngineCheckpoint &mid = checkpoints[checkpoints.size() / 2];
     ASSERT_GT(mid.executedChunks, 0u);
     ASSERT_LT(mid.executedChunks * kChunk, kGoldenTrials);
     for (const unsigned threads : kThreadCounts) {
         McRunOptions resume;
+        resume.trials = kGoldenTrials;
         resume.threads = threads;
         resume.chunkSize = kChunk;
         resume.keepSamples = false;
         resume.faults = FaultPolicy::Rethrow;
         resume.resumeFrom = &mid;
         const TrialReport resumed =
-            engine.run(nominalKernelMetric, resume);
+            runTrials(kGoldenSeed, resume, nominalKernelMetric);
         EXPECT_EQ(statsDigest(resumed.stats), kGoldenStatsDigestChunk64)
             << "resume at " << threads << " threads";
     }
 }
 
 } // namespace
-} // namespace lemons::sim
+} // namespace lemons::engine

@@ -19,9 +19,9 @@
 #include "core/gate.h"
 #include "core/mway.h"
 #include "core/targeting.h"
+#include "engine/engine.h"
 #include "fault/fault_plan.h"
 #include "fault/faulty_device.h"
-#include "sim/monte_carlo.h"
 
 namespace lemons::fault {
 namespace {
@@ -401,14 +401,13 @@ TEST(Health, TargetingAndMWayExposeGateHealth)
 // and completes the run, the rethrow policy rethrows on the caller.
 TEST(TrialReport, NamesThrowingTrialAndCompletesRun)
 {
-    const sim::MonteCarlo mc(2024, 100);
-    const auto report = mc.run(
+    const auto report = engine::runTrials(
+        2024, {.trials = 100, .threads = 4, .chunkSize = 16},
         [](Rng &rng, uint64_t trial) {
             if (trial == 37)
                 throw std::runtime_error("deliberate failure in trial 37");
             return rng.nextDouble();
-        },
-        {.threads = 4, .chunkSize = 16});
+        });
 
     ASSERT_EQ(report.failedTrials.size(), 1u);
     EXPECT_EQ(report.failedTrials[0], 37u);
@@ -423,16 +422,15 @@ TEST(TrialReport, NamesThrowingTrialAndCompletesRun)
 
 TEST(TrialReport, QuarantinesNonFiniteSamples)
 {
-    const sim::MonteCarlo mc(7, 50);
-    const auto report = mc.run(
+    const auto report = engine::runTrials(
+        7, {.trials = 50, .threads = 3, .chunkSize = 16},
         [](Rng &, uint64_t trial) {
             if (trial == 5)
                 return std::numeric_limits<double>::infinity();
             if (trial == 20)
                 return std::numeric_limits<double>::quiet_NaN();
             return 1.0;
-        },
-        {.threads = 3, .chunkSize = 16});
+        });
 
     ASSERT_EQ(report.nonFiniteTrials.size(), 2u);
     EXPECT_EQ(report.nonFiniteTrials[0], 5u);
@@ -446,14 +444,17 @@ TEST(TrialReport, QuarantinesNonFiniteSamples)
 
 TEST(TrialReport, CleanRunMatchesRethrowPolicySamples)
 {
-    const sim::MonteCarlo mc(31337, 64);
-    const auto metric = [](Rng &rng) { return rng.nextDouble(); };
+    const auto metric = [](Rng &rng, uint64_t) { return rng.nextDouble(); };
     const auto samples =
-        mc.run(metric, {.threads = 2,
-                        .chunkSize = 16,
-                        .faults = sim::FaultPolicy::Rethrow})
+        engine::runTrials(31337,
+                          {.trials = 64,
+                           .threads = 2,
+                           .chunkSize = 16,
+                           .faults = engine::FaultPolicy::Rethrow},
+                          metric)
             .samples;
-    const auto report = mc.run(metric, {.threads = 5, .chunkSize = 8});
+    const auto report = engine::runTrials(
+        31337, {.trials = 64, .threads = 5, .chunkSize = 8}, metric);
     EXPECT_TRUE(report.complete());
     EXPECT_TRUE(report.firstError.empty());
     ASSERT_EQ(report.samples.size(), samples.size());
@@ -463,18 +464,20 @@ TEST(TrialReport, CleanRunMatchesRethrowPolicySamples)
 
 TEST(RethrowPolicy, RethrowsOnCallerInsteadOfTerminating)
 {
-    const sim::MonteCarlo mc(1, 32);
     uint64_t calls = 0;
-    const auto metric = [&calls](Rng &rng) {
+    const auto metric = [&calls](Rng &rng, uint64_t) {
         // Single-threaded: trials run in order, so call 13 is trial 12.
         if (++calls == 13)
             throw std::runtime_error("worker-thread failure");
         return rng.nextDouble();
     };
     try {
-        static_cast<void>(mc.run(
-            metric,
-            {.threads = 1, .faults = sim::FaultPolicy::Rethrow}));
+        static_cast<void>(engine::runTrials(
+            1,
+            {.trials = 32,
+             .threads = 1,
+             .faults = engine::FaultPolicy::Rethrow},
+            metric));
         FAIL() << "expected the metric's exception to propagate";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "worker-thread failure");

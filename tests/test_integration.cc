@@ -15,7 +15,7 @@
 #include "core/targeting.h"
 #include "crypto/otp.h"
 #include "crypto/password_model.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 
 namespace lemons::core {
 namespace {
@@ -162,8 +162,7 @@ TEST(Integration, EvilMaidCannotCloneThePad)
     params.device = {10.0, 1.0};
     const DeviceFactory factory(params.device, ProcessVariation::none());
 
-    const sim::MonteCarlo engine(31337, 50);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(31337, 50, [&](Rng &rng) {
         std::vector<uint8_t> padKey = crypto::generatePad(rng, 32);
         OneTimePad pad(params, padKey, 100, factory, rng);
         Rng maid = rng.split(666);
@@ -186,8 +185,7 @@ TEST(Integration, SolverDesignsSurviveHardwareSimulation)
     ASSERT_LE(design.width, 255u);
 
     const DeviceFactory factory(request.device, ProcessVariation::none());
-    const sim::MonteCarlo engine(99, 60);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(99, 60, [&](Rng &rng) {
         LimitedUseGate gate(design, factory,
                             std::vector<uint8_t>(16, 0xab), rng);
         for (uint64_t i = 0; i < request.legitimateAccessBound; ++i) {

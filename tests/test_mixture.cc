@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "arch/structures_sim.h"
+#include "engine/engine.h"
 #include "sim/empirical.h"
-#include "sim/monte_carlo.h"
 #include "util/rng.h"
 #include "wearout/mixture.h"
 
@@ -107,8 +107,7 @@ TEST(BathtubMixture, KOutOfNStructuresAbsorbModerateInfantMortality)
     const arch::LifetimeSampler sampler = [&](Rng &rng) {
         return mix.sample(rng);
     };
-    const sim::MonteCarlo engine(3, 20000);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(3, 20000, [&](Rng &rng) {
         return arch::sampleParallelSurvivedAccesses(sampler, 60, 6, rng) >=
                9;
     });
@@ -125,8 +124,7 @@ TEST(BathtubMixture, HeavyInfantMortalityBreaksTheBound)
     const arch::LifetimeSampler sampler = [&](Rng &rng) {
         return mix.sample(rng);
     };
-    const sim::MonteCarlo engine(4, 5000);
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(4, 5000, [&](Rng &rng) {
         return arch::sampleParallelSurvivedAccesses(sampler, 60, 30,
                                                     rng) >= 9;
     });

@@ -2,7 +2,7 @@
  * @file
  * Concurrency stress tests for the parallel Monte Carlo paths. These
  * are the tests the TSan CI job leans on: they hammer the pooled
- * engine run() path (sample-keeping, streaming, and fault-capturing
+ * engine::runTrials path (sample-keeping, streaming, and fault-capturing
  * configurations) and the SharedRunningStats accumulator with more
  * workers than cores so any data race in the reduction or
  * error-capture plumbing has a real chance to interleave.
@@ -18,17 +18,20 @@
 #include <thread>
 #include <vector>
 
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/stats.h"
 
 namespace lemons {
 namespace {
 
+using engine::FaultPolicy;
+using engine::runTrials;
+
 constexpr uint64_t kSeed = 0xC0FFEEULL;
 constexpr unsigned kThreads = 8; // deliberately oversubscribed
 
 double
-noisyMetric(Rng &rng)
+noisyMetric(Rng &rng, uint64_t)
 {
     // A little arithmetic per trial so workers overlap in the metric,
     // not just in the reduction.
@@ -38,14 +41,17 @@ noisyMetric(Rng &rng)
 
 TEST(ParallelStress, SamplesMatchSerialBitForBit)
 {
-    const sim::MonteCarlo mc(kSeed, 20'000);
     const std::vector<double> serial =
-        mc.run(noisyMetric, {.faults = sim::FaultPolicy::Rethrow})
+        runTrials(kSeed, {.trials = 20'000, .faults = FaultPolicy::Rethrow},
+                  noisyMetric)
             .samples;
     for (int repeat = 0; repeat < 3; ++repeat) {
         const std::vector<double> parallel =
-            mc.run(noisyMetric, {.threads = kThreads,
-                                 .faults = sim::FaultPolicy::Rethrow})
+            runTrials(kSeed,
+                      {.trials = 20'000,
+                       .threads = kThreads,
+                       .faults = FaultPolicy::Rethrow},
+                      noisyMetric)
                 .samples;
         ASSERT_EQ(parallel.size(), serial.size());
         for (size_t i = 0; i < serial.size(); ++i)
@@ -55,14 +61,17 @@ TEST(ParallelStress, SamplesMatchSerialBitForBit)
 
 TEST(ParallelStress, StatsMatchSerialAggregates)
 {
-    const sim::MonteCarlo mc(kSeed, 50'000);
     const RunningStats serial =
-        mc.run(noisyMetric, {.faults = sim::FaultPolicy::Rethrow}).stats;
-    const RunningStats parallel =
-        mc.run(noisyMetric, {.threads = kThreads,
-                             .keepSamples = false,
-                             .faults = sim::FaultPolicy::Rethrow})
+        runTrials(kSeed, {.trials = 50'000, .faults = FaultPolicy::Rethrow},
+                  noisyMetric)
             .stats;
+    const RunningStats parallel = runTrials(kSeed,
+                                            {.trials = 50'000,
+                                             .threads = kThreads,
+                                             .keepSamples = false,
+                                             .faults = FaultPolicy::Rethrow},
+                                            noisyMetric)
+                                      .stats;
     EXPECT_EQ(parallel.count(), serial.count());
     EXPECT_EQ(parallel.nonFiniteCount(), serial.nonFiniteCount());
     EXPECT_EQ(parallel.min(), serial.min());
@@ -73,14 +82,14 @@ TEST(ParallelStress, StatsMatchSerialAggregates)
 
 TEST(ParallelStress, StatsAreDeterministicPerThreadCount)
 {
-    const sim::MonteCarlo mc(kSeed, 10'000);
-    const sim::McRunOptions streaming{
-        .threads = kThreads,
-        .keepSamples = false,
-        .faults = sim::FaultPolicy::Rethrow};
-    const RunningStats first = mc.run(noisyMetric, streaming).stats;
+    const engine::McRunOptions streaming{.trials = 10'000,
+                                         .threads = kThreads,
+                                         .keepSamples = false,
+                                         .faults = FaultPolicy::Rethrow};
+    const RunningStats first = runTrials(kSeed, streaming, noisyMetric).stats;
     for (int repeat = 0; repeat < 5; ++repeat) {
-        const RunningStats again = mc.run(noisyMetric, streaming).stats;
+        const RunningStats again =
+            runTrials(kSeed, streaming, noisyMetric).stats;
         EXPECT_EQ(again.count(), first.count());
         EXPECT_EQ(again.mean(), first.mean());
         EXPECT_EQ(again.variance(), first.variance());
@@ -89,18 +98,21 @@ TEST(ParallelStress, StatsAreDeterministicPerThreadCount)
 
 TEST(ParallelStress, StatsQuarantineNonFinite)
 {
-    const sim::MonteCarlo mc(kSeed, 8'192);
-    const auto metric = [](Rng &rng) {
+    const auto metric = [](Rng &rng, uint64_t) {
         const double u = rng.nextDouble();
         return u < 0.01 ? std::nan("") : u;
     };
     const RunningStats serial =
-        mc.run(metric, {.faults = sim::FaultPolicy::Rethrow}).stats;
-    const RunningStats parallel =
-        mc.run(metric, {.threads = kThreads,
-                        .keepSamples = false,
-                        .faults = sim::FaultPolicy::Rethrow})
+        runTrials(kSeed, {.trials = 8'192, .faults = FaultPolicy::Rethrow},
+                  metric)
             .stats;
+    const RunningStats parallel = runTrials(kSeed,
+                                            {.trials = 8'192,
+                                             .threads = kThreads,
+                                             .keepSamples = false,
+                                             .faults = FaultPolicy::Rethrow},
+                                            metric)
+                                      .stats;
     EXPECT_GT(serial.nonFiniteCount(), 0u);
     EXPECT_EQ(parallel.nonFiniteCount(), serial.nonFiniteCount());
     EXPECT_EQ(parallel.count(), serial.count());
@@ -108,8 +120,7 @@ TEST(ParallelStress, StatsQuarantineNonFinite)
 
 TEST(ParallelStress, LowestThrowingTrialWinsDeterministically)
 {
-    const sim::MonteCarlo mc(kSeed, 4'096);
-    const auto metric = [](Rng &rng) {
+    const auto metric = [](Rng &rng, uint64_t) {
         const double u = rng.nextDouble();
         if (u > 0.999)
             throw std::runtime_error("poisoned trial");
@@ -117,28 +128,29 @@ TEST(ParallelStress, LowestThrowingTrialWinsDeterministically)
     };
     std::string firstMessage;
     try {
-        static_cast<void>(
-            mc.run(metric, {.threads = kThreads,
-                            .faults = sim::FaultPolicy::Rethrow}));
+        static_cast<void>(runTrials(kSeed,
+                                    {.trials = 4'096,
+                                     .threads = kThreads,
+                                     .faults = FaultPolicy::Rethrow},
+                                    metric));
         FAIL() << "expected the poisoned trial to rethrow";
     } catch (const std::runtime_error &e) {
         firstMessage = e.what();
     }
     EXPECT_EQ(firstMessage, "poisoned trial");
     // The capture path must agree on which trial failed first.
-    const sim::TrialReport report =
-        mc.run([&](Rng &rng) { return metric(rng); },
-               {.threads = kThreads});
+    const engine::TrialReport report =
+        runTrials(kSeed, {.trials = 4'096, .threads = kThreads}, metric);
     ASSERT_FALSE(report.failedTrials.empty());
-    const sim::TrialReport serialReport = mc.run(
-        [&](Rng &rng) { return metric(rng); }, {.threads = 1});
+    const engine::TrialReport serialReport =
+        runTrials(kSeed, {.trials = 4'096, .threads = 1}, metric);
     EXPECT_EQ(report.failedTrials, serialReport.failedTrials);
     EXPECT_EQ(report.firstError, serialReport.firstError);
 }
 
 TEST(ParallelStress, ReportStressRun)
 {
-    const sim::MonteCarlo mc(kSeed, 16'384);
+    constexpr uint64_t kTrials = 16'384;
     const auto metric = [](Rng &rng, uint64_t trial) {
         const double u = rng.nextDouble();
         if (trial % 1009 == 0)
@@ -148,12 +160,12 @@ TEST(ParallelStress, ReportStressRun)
         return u;
     };
     for (int repeat = 0; repeat < 3; ++repeat) {
-        const sim::TrialReport report =
-            mc.run(metric, {.threads = kThreads});
-        EXPECT_EQ(report.trials, mc.trials());
+        const engine::TrialReport report =
+            runTrials(kSeed, {.trials = kTrials, .threads = kThreads}, metric);
+        EXPECT_EQ(report.trials, kTrials);
         EXPECT_FALSE(report.complete());
         EXPECT_EQ(report.firstError, "periodic failure");
-        EXPECT_EQ(report.failedTrials.size(), (mc.trials() + 1008) / 1009);
+        EXPECT_EQ(report.failedTrials.size(), (kTrials + 1008) / 1009);
         EXPECT_EQ(report.cleanTrials(),
                   report.trials - report.failedTrials.size() -
                       report.nonFiniteTrials.size());

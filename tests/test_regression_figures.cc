@@ -18,7 +18,7 @@
 #include "core/decision_tree.h"
 #include "core/design_solver.h"
 #include "core/explorer.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "sim/workload.h"
 
 namespace lemons::core {
@@ -202,13 +202,11 @@ TEST(RegressionFigures, MonteCarloStructureLifetimeGolden)
     const arch::LifetimeSampler sampler = [&](Rng &rng) {
         return device.sample(rng);
     };
-    const sim::MonteCarlo mc(42, 1000);
     const RunningStats stats =
-        mc.run([&](Rng &rng) {
-              return static_cast<double>(
-                  arch::sampleParallelSurvivedAccesses(sampler, 175, 18,
-                                                       rng));
-          }).stats;
+        engine::runTrials(42, {.trials = 1000}, [&](Rng &rng, uint64_t) {
+            return static_cast<double>(
+                arch::sampleParallelSurvivedAccesses(sampler, 175, 18, rng));
+        }).stats;
     EXPECT_EQ(stats.count(), 1000u);
     EXPECT_NEAR(stats.mean(), 14.998, 1e-9);
     EXPECT_DOUBLE_EQ(stats.min(), 14.0);
@@ -221,10 +219,9 @@ TEST(RegressionFigures, UsageSurvivalGolden)
     // assumption — the observation EXPERIMENTS.md quantifies. Pinned
     // with the bench's seed so the number in the docs stays honest.
     const sim::UsageProfile nominal{50.0, 0.0, 1.0};
-    const sim::MonteCarlo engine(20170624, 2000);
     // Pinned exactly; re-baselined once with the Philox trial stream.
     const auto p =
-        sim::survivalProbability(nominal, 91250, 5 * 365, engine);
+        sim::survivalProbability(nominal, 91250, 5 * 365, 20170624, 2000);
     EXPECT_NEAR(p.estimate, 0.5075, 1e-9);
 }
 

@@ -12,7 +12,7 @@
 
 #include "arch/structures.h"
 #include "arch/structures_sim.h"
-#include "sim/monte_carlo.h"
+#include "engine/engine.h"
 #include "util/math.h"
 
 namespace lemons::arch {
@@ -58,9 +58,8 @@ TEST(SeriesChain, SimulationMatchesAnalytics)
 {
     const DeviceFactory factory({10.0, 8.0}, ProcessVariation::none());
     const SeriesChain chain(factory.nominalModel(), 4);
-    const sim::MonteCarlo engine(11, 40000);
     // P(chain survives >= 8 whole accesses) == R(8).
-    const auto ci = engine.estimateProbability([&](Rng &rng) {
+    const auto ci = engine::estimateProbability(11, 40000, [&](Rng &rng) {
         return sampleSeriesSurvivedAccesses(factory, 4, rng) >= 8;
     });
     const double analytic = chain.reliabilityAt(8.0);
@@ -183,9 +182,8 @@ TEST(ParallelStructure, SimulationMatchesAnalyticsKOne)
 {
     const DeviceFactory factory({9.3, 12.0}, ProcessVariation::none());
     const ParallelStructure structure(factory.nominalModel(), 40);
-    const sim::MonteCarlo engine(21, 40000);
     for (uint64_t t : {10u, 11u}) {
-        const auto ci = engine.estimateProbability([&](Rng &rng) {
+        const auto ci = engine::estimateProbability(21, 40000, [&](Rng &rng) {
             return sampleParallelSurvivedAccesses(factory, 40, 1, rng) >= t;
         });
         const double analytic =
@@ -199,9 +197,8 @@ TEST(ParallelStructure, SimulationMatchesAnalyticsKOfN)
 {
     const DeviceFactory factory({20.0, 12.0}, ProcessVariation::none());
     const ParallelStructure structure(factory.nominalModel(), 60, 30);
-    const sim::MonteCarlo engine(23, 40000);
     for (uint64_t t : {20u, 21u}) {
-        const auto ci = engine.estimateProbability([&](Rng &rng) {
+        const auto ci = engine::estimateProbability(23, 40000, [&](Rng &rng) {
             return sampleParallelSurvivedAccesses(factory, 60, 30, rng) >=
                    t;
         });
@@ -215,21 +212,17 @@ TEST(ParallelStructure, SimulationMatchesAnalyticsKOfN)
 TEST(StructuresSim, SerialCopiesSumPerCopyLifetimes)
 {
     const DeviceFactory factory({10.0, 8.0}, ProcessVariation::none());
-    const sim::MonteCarlo engine(31, 5000);
-    const auto stats = engine
-                           .run([&](Rng &rng) {
-                               return static_cast<double>(
-                                   sampleSerialCopiesTotalAccesses(
-                                       factory, 10, 1, 8, rng));
-                           })
-                           .stats;
-    const auto perCopy = engine
-                             .run([&](Rng &rng) {
-                                 return static_cast<double>(
-                                     sampleParallelSurvivedAccesses(
-                                         factory, 10, 1, rng));
-                             })
-                             .stats;
+    const engine::McRunOptions options{.trials = 5000};
+    const auto stats =
+        engine::runTrials(31, options, [&](Rng &rng, uint64_t) {
+            return static_cast<double>(
+                sampleSerialCopiesTotalAccesses(factory, 10, 1, 8, rng));
+        }).stats;
+    const auto perCopy =
+        engine::runTrials(31, options, [&](Rng &rng, uint64_t) {
+            return static_cast<double>(
+                sampleParallelSurvivedAccesses(factory, 10, 1, rng));
+        }).stats;
     EXPECT_NEAR(stats.mean(), 8.0 * perCopy.mean(),
                 0.05 * stats.mean());
 }

@@ -115,8 +115,7 @@ TEST(SurvivalProbability, PaperBudgetIsAKnifeEdge)
     // about half the time — the fixed-budget assumption has no slack.
     UsageProfile profile;
     profile.meanPerDay = 50.0;
-    const MonteCarlo engine(8, 400);
-    const auto ci = survivalProbability(profile, 91250, 1825, engine);
+    const auto ci = survivalProbability(profile, 91250, 1825, 8, 400);
     EXPECT_GT(ci.estimate, 0.3);
     EXPECT_LT(ci.estimate, 0.7);
 }
@@ -127,8 +126,7 @@ TEST(SurvivalProbability, MWayScaledBudgetIsComfortable)
     // always for the same user.
     UsageProfile profile;
     profile.meanPerDay = 50.0;
-    const MonteCarlo engine(9, 300);
-    const auto ci = survivalProbability(profile, 2 * 91250, 1825, engine);
+    const auto ci = survivalProbability(profile, 2 * 91250, 1825, 9, 300);
     EXPECT_EQ(ci.estimate, 1.0);
 }
 
@@ -136,11 +134,10 @@ TEST(SurvivalProbability, MonotoneInBudget)
 {
     UsageProfile profile;
     profile.meanPerDay = 50.0;
-    const MonteCarlo engine(10, 300);
     double prev = 0.0;
     for (uint64_t budget : {85000u, 91250u, 95000u, 105000u}) {
         const double p =
-            survivalProbability(profile, budget, 1825, engine).estimate;
+            survivalProbability(profile, budget, 1825, 10, 300).estimate;
         EXPECT_GE(p, prev - 0.05) << "budget " << budget;
         prev = p;
     }
@@ -150,15 +147,14 @@ TEST(BudgetForSurvival, FindsTheQuantile)
 {
     UsageProfile profile;
     profile.meanPerDay = 50.0;
-    const MonteCarlo engine(11, 400);
     const uint64_t budget =
-        budgetForSurvival(profile, 1825, 0.99, engine);
+        budgetForSurvival(profile, 1825, 0.99, 11, 400);
     // Mean 91,250, sd = sqrt(91,250) ~ 302; the 99th percentile sits
     // ~2.3 sigma up.
     EXPECT_GT(budget, 91250u);
     EXPECT_LT(budget, 93500u);
     // And the found budget indeed survives at the target rate.
-    EXPECT_GE(survivalProbability(profile, budget, 1825, engine).estimate,
+    EXPECT_GE(survivalProbability(profile, budget, 1825, 11, 400).estimate,
               0.99);
 }
 
@@ -169,9 +165,8 @@ TEST(BudgetForSurvival, BurstyUsersNeedMore)
     UsageProfile bursty = plain;
     bursty.burstProbability = 0.05;
     bursty.burstMultiplier = 4.0;
-    const MonteCarlo engine(12, 300);
-    EXPECT_GT(budgetForSurvival(bursty, 1825, 0.99, engine),
-              budgetForSurvival(plain, 1825, 0.99, engine));
+    EXPECT_GT(budgetForSurvival(bursty, 1825, 0.99, 12, 300),
+              budgetForSurvival(plain, 1825, 0.99, 12, 300));
 }
 
 /**
@@ -181,10 +176,11 @@ TEST(BudgetForSurvival, BurstyUsersNeedMore)
  */
 uint64_t
 bisectedBudget(const UsageProfile &profile, uint64_t horizonDays,
-               double targetProbability, const MonteCarlo &engine)
+               double targetProbability, uint64_t seed, uint64_t trials)
 {
     auto survives = [&](uint64_t budget) {
-        return survivalProbability(profile, budget, horizonDays, engine)
+        return survivalProbability(profile, budget, horizonDays, seed,
+                                   trials)
                    .estimate >= targetProbability;
     };
     uint64_t hi = std::max<uint64_t>(
@@ -216,13 +212,13 @@ TEST(BudgetForSurvival, OnePassEqualsBisection)
     size_t floorAnswers = 0;
     for (const UsageProfile &profile : profiles) {
         for (const uint64_t trials : {1u, 2u, 7u, 100u}) {
-            const MonteCarlo engine(20170624 + trials, trials);
+            const uint64_t seed = 20170624 + trials;
             for (const double target : {0.01, 0.5, 0.99, 0.999}) {
                 for (const uint64_t horizon : {1u, 30u, 365u}) {
-                    const uint64_t got =
-                        budgetForSurvival(profile, horizon, target, engine);
+                    const uint64_t got = budgetForSurvival(
+                        profile, horizon, target, seed, trials);
                     EXPECT_EQ(got, bisectedBudget(profile, horizon, target,
-                                                  engine))
+                                                  seed, trials))
                         << "mean " << profile.meanPerDay << " burst "
                         << profile.burstProbability << " trials " << trials
                         << " target " << target << " horizon " << horizon;
@@ -237,10 +233,9 @@ TEST(BudgetForSurvival, OnePassEqualsBisection)
 
 TEST(BudgetForSurvival, RejectsBadTarget)
 {
-    const MonteCarlo engine(13, 10);
-    EXPECT_THROW(budgetForSurvival({}, 10, 0.0, engine),
+    EXPECT_THROW(budgetForSurvival({}, 10, 0.0, 13, 10),
                  std::invalid_argument);
-    EXPECT_THROW(budgetForSurvival({}, 10, 1.0, engine),
+    EXPECT_THROW(budgetForSurvival({}, 10, 1.0, 13, 10),
                  std::invalid_argument);
 }
 

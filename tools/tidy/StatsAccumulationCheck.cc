@@ -45,7 +45,7 @@ StatsAccumulationCheck::StatsAccumulationCheck(
     llvm::StringRef name, clang::tidy::ClangTidyContext *context)
     : ClangTidyCheck(name, context),
       entryPointOption(Options.get("ParallelEntryPoints",
-                                   "parallelFor;submit;runTrials;run"))
+                                   "parallelFor;submit;runTrials"))
 {
     llvm::SmallVector<llvm::StringRef, 8> parts;
     llvm::StringRef(entryPointOption).split(parts, ';', -1, false);

@@ -2,7 +2,7 @@
  * @file
  * T006 lemons-stats-accumulation: inside a lambda handed to one of
  * the engine's parallel entry points (ThreadPool::parallelFor /
- * submit, engine::runTrials, MonteCarlo::run), a compound assignment
+ * submit, engine::runTrials), a compound assignment
  * that accumulates into state captured by reference (or into a member
  * through the captured this) is flagged. Even when such an
  * accumulation is mutex-serialized it commits results in thread
@@ -15,7 +15,7 @@
  * Options:
  *   ParallelEntryPoints  semicolon-separated callee names treated as
  *                        parallel dispatch (default
- *                        "parallelFor;submit;runTrials;run").
+ *                        "parallelFor;submit;runTrials").
  */
 
 #ifndef LEMONS_TOOLS_TIDY_STATS_ACCUMULATION_CHECK_H_
