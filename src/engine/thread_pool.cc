@@ -83,24 +83,18 @@ ThreadPool::workerLoop()
             std::unique_lock<std::mutex> lock(mu);
             wake.wait(lock,
                       [this] { return stopping || !queue.empty(); });
-            // Drain the queue even while stopping: submitted
-            // (fire-and-forget) jobs have no caller waiting on them,
-            // so dropping the queue would silently lose work.
-            if (queue.empty()) {
-                if (stopping)
-                    return;
-                continue;
-            }
+            if (stopping)
+                return;
             // Take a reference, not ownership: several workers gang up
             // on the front job.
             job = queue.front();
         }
         runChunks(*job);
         // runChunks returns only once the index space is fully
-        // claimed, so the job can be retired. parallelFor callers do
-        // this themselves; for submitted jobs the workers must, or an
-        // exhausted-but-queued job would busy-spin the pool. erase is
-        // idempotent under the lock, so double retirement is fine.
+        // claimed, so the job can be retired here as well as by its
+        // caller: a worker done early must not spin on an exhausted
+        // job at the queue front while the caller runs its last index.
+        // erase is idempotent under the lock.
         {
             const std::lock_guard<std::mutex> lock(mu);
             const auto it = std::find(queue.begin(), queue.end(), job);
@@ -108,24 +102,6 @@ ThreadPool::workerLoop()
                 queue.erase(it);
         }
     }
-}
-
-void
-ThreadPool::submit(std::function<void()> task, unsigned parallelismHint)
-{
-    LEMONS_OBS_INCREMENT("sim.mc.pool.submitted");
-    // At least one worker must exist or a fire-and-forget task would
-    // sit queued until the next parallelFor happened to create one.
-    ensureWorkers(std::max(1u, parallelismHint));
-    const auto job = std::make_shared<Job>();
-    job->count = 1;
-    job->owned = [run = std::move(task)](uint64_t) { run(); };
-    job->body = &job->owned;
-    {
-        const std::lock_guard<std::mutex> lock(mu);
-        queue.push_back(job);
-    }
-    wake.notify_one();
 }
 
 void

@@ -64,28 +64,6 @@ class ThreadPool
     void parallelFor(uint64_t count, unsigned parallelism,
                      const std::function<void(uint64_t)> &body);
 
-    /**
-     * Enqueue @p task for asynchronous execution on a pool worker and
-     * return immediately (fire-and-forget). This is the serving
-     * layer's request-execution primitive: lemonsd admits a request,
-     * submits its handler here, and the handler runs on whichever
-     * persistent worker claims it — no per-request thread is ever
-     * created. A submitted task may itself call parallelFor (the
-     * worker running it participates in that region like any caller),
-     * so Monte Carlo endpoints nest naturally.
-     *
-     * @p parallelismHint grows the worker set so at least that many
-     * submitted tasks can run concurrently (capped like parallelFor;
-     * at least one worker always exists after a submit).
-     *
-     * @p task must not throw (handlers translate their own failures
-     * into responses); a throwing task terminates, same as parallelFor
-     * bodies. Tasks still queued at pool destruction are executed
-     * before the workers join: destruction happens at process exit,
-     * after the server has drained, so the queue is empty in practice.
-     */
-    void submit(std::function<void()> task, unsigned parallelismHint = 1);
-
     /** Workers currently alive (grows on demand, never shrinks). */
     unsigned workerCount() const;
 
@@ -96,15 +74,12 @@ class ThreadPool
   private:
     ThreadPool();
 
-    /** One parallelFor invocation (or submitted task): a claimable
-     *  index space. parallelFor jobs borrow the caller's body;
-     *  submitted jobs own theirs in `owned` and self-retire. */
+    /** One parallelFor invocation: a claimable index space over the
+     *  caller's body. */
     struct Job
     {
         uint64_t count = 0;
         const std::function<void(uint64_t)> *body = nullptr;
-        /** Owned callable backing `body` for submitted jobs. */
-        std::function<void(uint64_t)> owned;
         std::atomic<uint64_t> next{0};
         std::mutex mu;
         std::condition_variable allDone;

@@ -45,16 +45,47 @@ parseContentLength(std::string_view text, size_t &out)
     return true;
 }
 
+/** ASCII case-insensitive equality. */
+bool
+equalsIgnoreCase(std::string_view a, std::string_view b)
+{
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+               return std::tolower(static_cast<unsigned char>(x)) ==
+                      std::tolower(static_cast<unsigned char>(y));
+           });
+}
+
 } // namespace
 
 const std::string *
 HttpRequest::header(std::string_view name) const
 {
-    const std::string wanted = toLower(name);
     for (const auto &[key, value] : headers)
-        if (key == wanted)
+        if (equalsIgnoreCase(key, name))
             return &value;
     return nullptr;
+}
+
+bool
+keepAlive(const HttpRequest &request)
+{
+    if (request.version != "HTTP/1.1")
+        return false;
+    const std::string *connection = request.header("connection");
+    if (connection == nullptr)
+        return true;
+    // A comma-separated list of options (RFC 7230 §6.1).
+    std::string_view options = *connection;
+    while (!options.empty()) {
+        const size_t comma = options.find(',');
+        if (equalsIgnoreCase(trimSpace(options.substr(0, comma)), "close"))
+            return false;
+        if (comma == std::string_view::npos)
+            break;
+        options.remove_prefix(comma + 1);
+    }
+    return true;
 }
 
 RequestParser::RequestParser(HttpLimits requestLimits)
@@ -78,6 +109,21 @@ RequestParser::feed(std::string_view bytes)
     if (phase == Phase::Complete || phase == Phase::Error)
         return;
     buffer.append(bytes);
+    advance();
+}
+
+void
+RequestParser::next()
+{
+    phase = Phase::Head;
+    parsed = HttpRequest{};
+    contentLength = 0;
+    advance();
+}
+
+void
+RequestParser::advance()
+{
     if (phase == Phase::Head) {
         if (buffer.size() > limits.maxHeaderBytes &&
             buffer.find("\r\n\r\n") == std::string::npos) {
@@ -88,8 +134,9 @@ RequestParser::feed(std::string_view bytes)
         parseHead();
     }
     if (phase == Phase::Body && buffer.size() >= contentLength) {
+        // Bytes past the body belong to the next pipelined request.
         parsed.body = buffer.substr(0, contentLength);
-        buffer.clear();
+        buffer.erase(0, contentLength);
         phase = Phase::Complete;
     }
 }
@@ -239,11 +286,6 @@ RequestParser::finishHead()
 
     contentLength = declared;
     phase = Phase::Body;
-    if (buffer.size() >= contentLength) {
-        parsed.body = buffer.substr(0, contentLength);
-        buffer.clear();
-        phase = Phase::Complete;
-    }
 }
 
 const char *
@@ -278,16 +320,28 @@ reasonPhrase(int status)
 std::string
 renderResponse(const HttpResponse &response)
 {
-    std::ostringstream out;
-    out << "HTTP/1.1 " << response.status << ' '
-        << reasonPhrase(response.status) << "\r\n";
-    out << "Content-Type: " << response.contentType << "\r\n";
-    out << "Content-Length: " << response.body.size() << "\r\n";
-    for (const auto &[name, value] : response.headers)
-        out << name << ": " << value << "\r\n";
-    out << "Connection: close\r\n\r\n";
-    out << response.body;
-    return out.str();
+    std::string out;
+    out.reserve(response.body.size() + 160);
+    out += "HTTP/1.1 ";
+    out += std::to_string(response.status);
+    out += ' ';
+    out += reasonPhrase(response.status);
+    out += "\r\nContent-Type: ";
+    out += response.contentType;
+    out += "\r\nContent-Length: ";
+    out += std::to_string(response.body.size());
+    out += "\r\n";
+    for (const auto &[name, value] : response.headers) {
+        out += name;
+        out += ": ";
+        out += value;
+        out += "\r\n";
+    }
+    if (!response.keepAlive)
+        out += "Connection: close\r\n";
+    out += "\r\n";
+    out += response.body;
+    return out;
 }
 
 } // namespace lemons::serve

@@ -3,9 +3,8 @@
  * Minimal HTTP/1.1 machinery for lemonsd: an incremental request
  * parser and a response renderer. No external dependency — the
  * serving layer's transport needs are a strict subset of HTTP
- * (one request per connection, explicit Content-Length bodies), so a
- * few hundred lines beat linking a framework the container may not
- * have.
+ * (explicit Content-Length bodies, persistent connections), so a few
+ * hundred lines beat linking a framework the container may not have.
  *
  * The parser is byte-incremental: feed() it whatever recv() produced
  * and ask whether a full request has materialized. Every way a
@@ -14,10 +13,16 @@
  * body, 431 oversized header block), so the error path produces the
  * same machine-readable envelopes as every other failure.
  *
+ * Connections persist per RFC 7230 §6.3: an HTTP/1.1 request without
+ * `Connection: close` leaves the connection open for the next one
+ * (keepAlive()), and bytes received past the end of one request are
+ * kept and parsed as the next (next()), so pipelined requests are
+ * answered in order.
+ *
  * Deliberate non-features: no chunked transfer encoding (rejected,
  * not ignored), no multi-line header folding (obsolete per RFC 7230),
- * no keep-alive (lemonsd answers and closes; clients are CI scripts
- * and dashboards, not browsers fetching sprite sheets).
+ * no HTTP/1.0 keep-alive extension (1.0 requests are answered and
+ * closed).
  */
 
 #ifndef LEMONS_SERVE_HTTP_H_
@@ -71,8 +76,17 @@ class RequestParser
     /** Signal end-of-stream (peer closed before a full request). */
     void finish();
 
+    /**
+     * Start on the next request of a persistent connection: forget
+     * the completed one and parse whatever pipelined bytes arrived
+     * after it. @pre complete().
+     */
+    void next();
+
     bool complete() const { return phase == Phase::Complete; }
     bool failed() const { return phase == Phase::Error; }
+    /** No byte of the current request has arrived yet. */
+    bool idle() const { return phase == Phase::Head && buffer.empty(); }
 
     /** @pre complete(). */
     const HttpRequest &request() const { return parsed; }
@@ -86,6 +100,8 @@ class RequestParser
     enum class Phase { Head, Body, Complete, Error };
 
     void fail(lint::Code diagnostic, int httpStatus, std::string why);
+    /** Parse as far as the buffered bytes allow. */
+    void advance();
     /** Try to cut a full head (start-line + headers) out of buffer. */
     void parseHead();
     bool parseStartLine(std::string_view line);
@@ -111,13 +127,19 @@ struct HttpResponse
     /** Extra headers (e.g. Retry-After, Allow). */
     std::vector<std::pair<std::string, std::string>> headers;
     std::string body;
+    /** Leave the connection open; false adds `Connection: close`. */
+    bool keepAlive = false;
 };
+
+/** Whether @p request lets the connection stay open after its
+ *  response: HTTP/1.1 without a `close` connection option. */
+bool keepAlive(const HttpRequest &request);
 
 /** Standard reason phrase for the statuses lemonsd emits. */
 const char *reasonPhrase(int status);
 
-/** Serialize status line, headers (Content-Length, Connection:
- *  close, extras), blank line, and body. */
+/** Serialize status line, headers (Content-Length, extras, then
+ *  `Connection: close` unless keepAlive), blank line, and body. */
 std::string renderResponse(const HttpResponse &response);
 
 } // namespace lemons::serve

@@ -5,11 +5,13 @@
  *     lemonsd --port 8787
  *     curl -s localhost:8787/v1/solve -d '{"alpha":10,"beta":12}'
  *
- * The process stays up until SIGTERM/SIGINT, then drains gracefully:
- * the acceptor stops, in-flight requests finish (Monte Carlo runs are
- * cancelled at the next wave boundary once the grace period expires),
- * and the daemon exits 0. A second signal during the drain exits
- * immediately.
+ * --workers event-loop threads accept, read, run handlers and write;
+ * connections stay open between requests (HTTP/1.1 keep-alive). The
+ * process stays up until SIGTERM/SIGINT, then drains gracefully:
+ * accepting stops, idle connections close, in-flight requests finish
+ * (Monte Carlo runs are cancelled at the next wave boundary once the
+ * grace period expires), and the daemon exits 0. A second signal
+ * during the drain exits immediately.
  *
  * --port 0 binds an ephemeral port; --port-file writes the resolved
  * port (one line) so scripts and the CI smoke test can find it
@@ -72,9 +74,10 @@ main(int argc, char **argv)
     parser.value("--port-file", &portFile, "PATH",
                  "write the resolved port to PATH after binding");
     parser.value("--workers", &options.workers, "N",
-                 "thread-pool workers to provision (default 2)");
+                 "event-loop threads; each accepts, reads, runs "
+                 "handlers and writes (default 2)");
     parser.value("--max-inflight", &maxInflight, "N",
-                 "admitted-connection bound; above it new connections "
+                 "open-connection bound; above it new connections "
                  "get 503 (default 64)");
     parser.value("--max-body", &maxBody, "BYTES",
                  "request body size limit; above it 413 (default 1 MiB)");
@@ -87,7 +90,9 @@ main(int argc, char **argv)
                  "how long a drain lets in-flight requests finish "
                  "before cancelling them (default 2000)");
     parser.value("--socket-timeout-ms", &socketTimeoutMs, "MS",
-                 "per-connection receive/send timeout (default 10000)");
+                 "deadline to read a whole request, idle timeout of a "
+                 "kept-alive connection, and deadline to write a "
+                 "response (default 10000)");
     parser.value("--mc-deadline-ms", &mcDeadlineMs, "MS",
                  "wall-clock budget for one /v1/mc/run (default 30000)");
     parser.epilog(

@@ -2,21 +2,22 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "api/codec.h"
-#include "engine/thread_pool.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -24,8 +25,16 @@ namespace lemons::serve {
 
 namespace {
 
-/** Acceptor pause after accept() runs out of descriptors. */
+/** Listener pause after accept() runs out of descriptors. */
 constexpr std::chrono::milliseconds kAcceptBackoff{10};
+
+/** epoll tags of the two descriptors that are not connections
+ *  (Server::nextId starts above them). */
+constexpr uint64_t kListenTag = 0;
+constexpr uint64_t kWakeTag = 1;
+
+/** Bytes asked of one recv(). */
+constexpr size_t kReadChunk = 16384;
 
 /** Envelope carrying exactly one S-code diagnostic. */
 std::string
@@ -50,18 +59,58 @@ countResponse(int status)
         LEMONS_OBS_INCREMENT("serve.responses.5xx");
 }
 
-void
-setSocketTimeout(int fd, std::chrono::milliseconds timeout)
+/** (Re-)arm @p fd for one readiness event tagged @p tag. */
+bool
+arm(int epollFd, int fd, int op, uint32_t events, uint64_t tag)
 {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-    tv.tv_usec =
-        static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    epoll_event event{};
+    event.events = events | EPOLLONESHOT;
+    event.data.u64 = tag;
+    return ::epoll_ctl(epollFd, op, fd, &event) == 0;
+}
+
+/**
+ * Close a client socket. FIN goes out first and input that already
+ * arrived is discarded, so unread request bytes cannot turn the close
+ * into a reset that destroys a response still in flight.
+ */
+void
+closeSocket(int fd)
+{
+    ::shutdown(fd, SHUT_WR);
+    char sink[4096];
+    for (int i = 0; i < 16 && ::recv(fd, sink, sizeof(sink), 0) > 0; ++i) {
+    }
+    ::close(fd);
 }
 
 } // namespace
+
+/** One client socket and the request on it. */
+struct Server::Connection
+{
+    Connection(uint64_t tag, int socket, const HttpLimits &limits)
+        : id(tag), fd(socket), parser(limits)
+    {
+    }
+
+    const uint64_t id;
+    const int fd;
+    RequestParser parser;
+    /** Rendered response, sent up to outSent. */
+    std::string out;
+    size_t outSent = 0;
+    /** Close once `out` is written (the response said so). */
+    bool closeAfterWrite = false;
+    /** Responses queued so far. */
+    uint64_t served = 0;
+    /** Read, idle or write deadline. Only the owner writes it;
+     *  sweep() reads it under mu while no loop owns the connection. */
+    Clock::time_point deadline;
+    // Guarded by Server::mu.
+    bool owned = false;
+    bool inflight = false;
+};
 
 Server::Server(ServerOptions options)
     : opts(std::move(options)), quota(opts.quota)
@@ -82,14 +131,16 @@ Server::start(std::string *error)
             out << what << ": " << std::strerror(errno);
             *error = out.str();
         }
-        if (listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
+        for (int *fd : {&listenFd, &epollFd, &wakeFd}) {
+            if (*fd >= 0)
+                ::close(*fd);
+            *fd = -1;
         }
         return false;
     };
 
-    listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
+    listenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0);
     if (listenFd < 0)
         return failWith("socket");
 
@@ -117,134 +168,375 @@ Server::start(std::string *error)
         return failWith("getsockname");
     listenPort = ntohs(bound.sin_port);
 
-    // Pre-grow the pool so the first burst of requests runs
-    // concurrently instead of serializing behind worker creation.
-    engine::ThreadPool::global().submit([] {}, opts.workers);
+    epollFd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epollFd < 0)
+        return failWith("epoll_create1");
+    wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wakeFd < 0)
+        return failWith("eventfd");
+    if (!arm(epollFd, listenFd, EPOLL_CTL_ADD, EPOLLIN, kListenTag) ||
+        !arm(epollFd, wakeFd, EPOLL_CTL_ADD, EPOLLIN, kWakeTag))
+        return failWith("epoll_ctl");
 
-    // The one thread lemonsd owns: it only accepts and hands off.
-    // LEMONS-TIDY-ALLOW(T001): the acceptor blocks in poll()/accept()
-    // and must not occupy a pool worker; request handlers all run on
-    // the pool via submit().
-    acceptor = std::thread([this] { acceptLoop(); });
+    const unsigned count = std::max(1u, opts.workers);
+    loops.reserve(count);
+    for (unsigned i = 0; i < count; ++i) {
+        // The loops sleep in epoll_wait between requests, which would
+        // idle a pool worker; they are the server's own threads.
+        // LEMONS-TIDY-ALLOW(T001)
+        loops.emplace_back([this] { loop(); });
+    }
     return true;
 }
 
 void
-Server::acceptLoop()
+Server::loop()
 {
-    while (!drainRequested.load(std::memory_order_acquire)) {
-        pollfd watched{};
-        watched.fd = listenFd;
-        watched.events = POLLIN;
-        // Short poll timeout keeps drain latency bounded without a
-        // wakeup pipe: worst case the loop notices beginDrain() 50 ms
-        // late.
-        const int ready = ::poll(&watched, 1, 50);
-        if (ready <= 0)
-            continue;
-
-        const int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0) {
-            LEMONS_OBS_INCREMENT("serve.accept_errors");
-            // Out of descriptors (or kernel memory), the pending
-            // connection stays queued and keeps poll() readable: back
-            // off instead of spinning a core until one frees up.
-            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-                errno == ENOMEM)
-                std::this_thread::sleep_for(kAcceptBackoff);
-            continue;
-        }
-        LEMONS_OBS_INCREMENT("serve.accepted");
-        setSocketTimeout(fd, opts.socketTimeout);
-
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (inflightCount >= opts.maxInflight) {
-                // Reject on the acceptor: a full queue must shed load
-                // without consuming the very workers it is waiting on.
-                LEMONS_OBS_INCREMENT("serve.rejected.queue");
-                HttpResponse response;
-                response.status = 503;
-                response.body = errorEnvelope(
-                    lint::Code::S009,
-                    "admission queue is full; retry shortly");
-                response.headers.emplace_back("Retry-After", "1");
-                countResponse(response.status);
-                writeAll(fd, renderResponse(response));
-                ::close(fd);
+    for (;;) {
+        epoll_event event{};
+        // One event per wait: handlers run inline, so a second event
+        // taken here would queue behind this thread's handler while
+        // another loop may be idle.
+        if (::epoll_wait(epollFd, &event, 1, waitMillis()) == 1) {
+            if (event.data.u64 == kListenTag) {
+                acceptPending();
+            } else if (event.data.u64 == kWakeTag) {
+                if (stopping.load(std::memory_order_acquire)) {
+                    // The counter stays set, so the re-armed eventfd
+                    // stops the next loop as well.
+                    arm(epollFd, wakeFd, EPOLL_CTL_MOD, EPOLLIN, kWakeTag);
+                    return;
+                }
+                uint64_t count = 0;
+                static_cast<void>(::read(wakeFd, &count, sizeof(count)));
+                sweep();
+                arm(epollFd, wakeFd, EPOLL_CTL_MOD, EPOLLIN, kWakeTag);
                 continue;
+            } else if (Connection *conn = claim(event.data.u64)) {
+                serve(*conn);
             }
-            ++inflightCount;
         }
-
-        engine::ThreadPool::global().submit(
-            [this, fd] {
-                handleConnection(fd);
-                finishRequest();
-            },
-            opts.workers);
+        if (Clock::now().time_since_epoch().count() >= wakeAt.load())
+            sweep();
     }
-    acceptorDone.store(true, std::memory_order_release);
+}
+
+int
+Server::waitMillis() const
+{
+    const Clock::rep at = wakeAt.load();
+    if (at == Clock::time_point::max().time_since_epoch().count())
+        return -1;
+    const Clock::duration left =
+        Clock::duration(at) - Clock::now().time_since_epoch();
+    if (left <= Clock::duration::zero())
+        return 0;
+    const auto millis =
+        std::chrono::ceil<std::chrono::milliseconds>(left).count();
+    return millis > INT_MAX ? INT_MAX : static_cast<int>(millis);
 }
 
 void
-Server::finishRequest()
+Server::wakeBy(Clock::time_point when)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    --inflightCount;
-    if (inflightCount == 0)
+    const Clock::rep at = when.time_since_epoch().count();
+    if (at >= wakeAt.load())
+        return;
+    wakeAt.store(at);
+    // A loop may be sleeping toward the later time while this one
+    // goes on to run a long handler.
+    wake();
+}
+
+void
+Server::wake()
+{
+    const uint64_t one = 1;
+    static_cast<void>(::write(wakeFd, &one, sizeof(one)));
+}
+
+void
+Server::acceptPending()
+{
+    while (!draining()) {
+        const int fd = ::accept4(listenFd, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd >= 0) {
+            LEMONS_OBS_INCREMENT("serve.accepted");
+            admit(fd);
+            continue;
+        }
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            break;
+        if (errno == EINTR)
+            continue;
+        LEMONS_OBS_INCREMENT("serve.accept_errors");
+        if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+            errno == ENOMEM) {
+            // Out of descriptors (or kernel memory): the pending
+            // connection stays queued and would fire again at once.
+            // Leave the listener disarmed for sweep() to re-arm after
+            // a pause instead of spinning a core until one frees up.
+            const std::lock_guard<std::mutex> lock(mu);
+            listenRetry = Clock::now() + kAcceptBackoff;
+            wakeBy(listenRetry);
+            return;
+        }
+    }
+    // Draining leaves the listener disarmed for good.
+    if (!draining())
+        arm(epollFd, listenFd, EPOLL_CTL_MOD, EPOLLIN, kListenTag);
+}
+
+void
+Server::admit(int fd)
+{
+    const int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
+    std::unique_lock<std::mutex> lock(mu);
+    if (connections.size() >= opts.maxInflight) {
+        lock.unlock();
+        // Shed load without reading the request: the table is full.
+        LEMONS_OBS_INCREMENT("serve.rejected.queue");
+        HttpResponse response;
+        response.status = 503;
+        response.body = errorEnvelope(
+            lint::Code::S009, "admission queue is full; retry shortly");
+        response.headers.emplace_back("Retry-After", "1");
+        countResponse(response.status);
+        const std::string rendered = renderResponse(response);
+        static_cast<void>(::send(fd, rendered.data(), rendered.size(),
+                                 MSG_NOSIGNAL));
+        closeSocket(fd);
+        return;
+    }
+    const uint64_t id = nextId++;
+    auto owner = std::make_unique<Connection>(id, fd, opts.http);
+    Connection &conn = *owner;
+    conn.deadline = Clock::now() + opts.socketTimeout;
+    connections.emplace(id, std::move(owner));
+    setInflight(conn, true);
+    wakeBy(conn.deadline);
+    // Registered under mu, so sweep() cannot close it first.
+    arm(epollFd, fd, EPOLL_CTL_ADD, EPOLLIN, id);
+}
+
+Server::Connection *
+Server::claim(uint64_t id)
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto found = connections.find(id);
+    // Gone (closed after the event was queued) or taken by sweep().
+    if (found == connections.end() || found->second->owned)
+        return nullptr;
+    Connection &conn = *found->second;
+    conn.owned = true;
+    setInflight(conn, true);
+    return &conn;
+}
+
+void
+Server::serve(Connection &conn)
+{
+    char chunk[kReadChunk];
+    for (;;) {
+        while (conn.outSent < conn.out.size()) {
+            const ssize_t wrote =
+                ::send(conn.fd, conn.out.data() + conn.outSent,
+                       conn.out.size() - conn.outSent, MSG_NOSIGNAL);
+            if (wrote > 0) {
+                conn.outSent += static_cast<size_t>(wrote);
+            } else if (wrote < 0 && errno == EINTR) {
+                continue;
+            } else if (wrote < 0 &&
+                       (errno == EAGAIN || errno == EWOULDBLOCK)) {
+                park(conn, EPOLLOUT);
+                return;
+            } else {
+                close(conn); // peer gone
+                return;
+            }
+        }
+        if (!conn.out.empty()) {
+            conn.out.clear();
+            conn.outSent = 0;
+            if (conn.closeAfterWrite) {
+                close(conn);
+                return;
+            }
+            // The next request's deadline starts now.
+            conn.deadline = Clock::now() + opts.socketTimeout;
+            conn.parser.next();
+            if (conn.parser.idle()) {
+                park(conn, EPOLLIN);
+                return;
+            }
+        }
+
+        if (conn.parser.complete() || conn.parser.failed()) {
+            respond(conn);
+            continue;
+        }
+
+        const ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+        if (got > 0) {
+            LEMONS_OBS_COUNT("serve.bytes_in", static_cast<uint64_t>(got));
+            conn.parser.feed(
+                std::string_view(chunk, static_cast<size_t>(got)));
+            // A short read emptied the socket: wait for the rest
+            // instead of asking again.
+            if (static_cast<size_t>(got) < sizeof(chunk) &&
+                !conn.parser.complete() && !conn.parser.failed()) {
+                park(conn, EPOLLIN);
+                return;
+            }
+        } else if (got == 0) {
+            if (conn.parser.idle()) {
+                close(conn); // peer done between requests
+                return;
+            }
+            conn.parser.finish();
+        } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            park(conn, EPOLLIN);
+            return;
+        } else if (errno != EINTR) {
+            close(conn);
+            return;
+        }
+    }
+}
+
+void
+Server::respond(Connection &conn)
+{
+    LEMONS_OBS_SCOPED_TIMER("serve.request");
+    HttpResponse response;
+    if (conn.parser.failed()) {
+        LEMONS_OBS_INCREMENT("serve.rejected.malformed");
+        response.status = conn.parser.errorStatus();
+        response.body = errorEnvelope(conn.parser.errorCode(),
+                                      conn.parser.errorMessage());
+    } else {
+        if (conn.served > 0)
+            LEMONS_OBS_INCREMENT("serve.connections.reused");
+        const HttpRequest &request = conn.parser.request();
+        response = route(request);
+        // Every response sent during a drain closes its connection.
+        response.keepAlive = keepAlive(request) && !draining();
+    }
+    queue(conn, response);
+}
+
+void
+Server::queue(Connection &conn, const HttpResponse &response)
+{
+    countResponse(response.status);
+    conn.out = renderResponse(response);
+    conn.outSent = 0;
+    LEMONS_OBS_COUNT("serve.bytes_out",
+                     static_cast<uint64_t>(conn.out.size()));
+    conn.closeAfterWrite = !response.keepAlive;
+    conn.deadline = Clock::now() + opts.socketTimeout;
+    ++conn.served;
+}
+
+void
+Server::park(Connection &conn, uint32_t events)
+{
+    std::unique_lock<std::mutex> lock(mu);
+    const bool busy =
+        conn.served == 0 || !conn.parser.idle() || !conn.out.empty();
+    if (!busy && draining()) {
+        lock.unlock();
+        close(conn);
+        return;
+    }
+    setInflight(conn, busy);
+    conn.owned = false;
+    wakeBy(conn.deadline);
+    // Re-armed under mu, so sweep() cannot close it first.
+    arm(epollFd, conn.fd, EPOLL_CTL_MOD, events, conn.id);
+}
+
+void
+Server::close(Connection &conn)
+{
+    std::unique_ptr<Connection> gone;
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        setInflight(conn, false);
+        const auto found = connections.find(conn.id);
+        gone = std::move(found->second);
+        connections.erase(found);
+    }
+    closeSocket(gone->fd);
+}
+
+void
+Server::sweep()
+{
+    const Clock::time_point now = Clock::now();
+    const bool drain = draining();
+    std::vector<Connection *> taken;
+    {
+        const std::lock_guard<std::mutex> lock(mu);
+        if (listenRetry <= now) {
+            listenRetry = Clock::time_point::max();
+            if (!drain)
+                arm(epollFd, listenFd, EPOLL_CTL_MOD, EPOLLIN, kListenTag);
+        }
+        Clock::time_point next = listenRetry;
+        for (const auto &[id, conn] : connections) {
+            if (conn->owned)
+                continue;
+            if (conn->deadline <= now || (drain && !conn->inflight)) {
+                conn->owned = true;
+                taken.push_back(conn.get());
+            } else {
+                next = std::min(next, conn->deadline);
+            }
+        }
+        wakeAt.store(next.time_since_epoch().count());
+    }
+
+    for (Connection *conn : taken) {
+        // An incomplete request is answered; an idle connection is
+        // closed silently and a stalled write abandoned.
+        if (conn->deadline <= now) {
+            LEMONS_OBS_INCREMENT("serve.deadline_expired");
+            if (conn->inflight && conn->out.empty()) {
+                HttpResponse response;
+                response.status = 400;
+                response.body = errorEnvelope(lint::Code::S006,
+                                              "request never completed");
+                queue(*conn, response);
+                // One attempt: the deadline has passed.
+                static_cast<void>(::send(conn->fd, conn->out.data(),
+                                         conn->out.size(), MSG_NOSIGNAL));
+            }
+        }
+        close(*conn);
+    }
+}
+
+void
+Server::setInflight(Connection &conn, bool busy)
+{
+    if (conn.inflight == busy)
+        return;
+    conn.inflight = busy;
+    if (busy)
+        ++inflightCount;
+    else if (--inflightCount == 0)
         idle.notify_all();
 }
 
 size_t
 Server::inflight() const
 {
-    std::lock_guard<std::mutex> lock(mu);
+    const std::lock_guard<std::mutex> lock(mu);
     return inflightCount;
-}
-
-void
-Server::handleConnection(int fd)
-{
-    LEMONS_OBS_SCOPED_TIMER("serve.request");
-    RequestParser parser(opts.http);
-    char chunk[4096];
-    while (!parser.complete() && !parser.failed()) {
-        const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (got < 0) {
-            // Timeout or reset: whatever arrived is all there is.
-            parser.finish();
-            break;
-        }
-        if (got == 0) {
-            parser.finish();
-            break;
-        }
-        LEMONS_OBS_COUNT("serve.bytes_in", static_cast<uint64_t>(got));
-        parser.feed(std::string_view(chunk, static_cast<size_t>(got)));
-    }
-
-    HttpResponse response;
-    if (parser.failed()) {
-        LEMONS_OBS_INCREMENT("serve.rejected.malformed");
-        response.status = parser.errorStatus();
-        response.body =
-            errorEnvelope(parser.errorCode(), parser.errorMessage());
-    } else if (!parser.complete()) {
-        response.status = 400;
-        response.body = errorEnvelope(lint::Code::S006,
-                                      "request never completed");
-    } else {
-        response = route(parser.request());
-    }
-
-    countResponse(response.status);
-    const std::string rendered = renderResponse(response);
-    LEMONS_OBS_COUNT("serve.bytes_out",
-                     static_cast<uint64_t>(rendered.size()));
-    writeAll(fd, rendered);
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
 }
 
 HttpResponse
@@ -254,9 +546,8 @@ Server::route(const HttpRequest &request)
     try {
         LEMONS_OBS_INCREMENT("serve.requests");
 
-        // Drain check happens per-request so a connection that was
-        // admitted just before beginDrain() still gets a response,
-        // while one racing past the acceptor gets a clean 503.
+        // Drain check happens per-request: a request that arrives on
+        // an open connection after beginDrain() gets a clean 503.
         if (draining() && request.target != "/v1/healthz" &&
             request.target != "/metrics") {
             LEMONS_OBS_INCREMENT("serve.rejected.drain");
@@ -385,32 +676,17 @@ Server::route(const HttpRequest &request)
 }
 
 void
-Server::writeAll(int fd, const std::string &bytes)
-{
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t wrote =
-            ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                   MSG_NOSIGNAL);
-        if (wrote <= 0)
-            return; // peer gone or timeout: nothing left to do
-        sent += static_cast<size_t>(wrote);
-    }
-}
-
-void
 Server::beginDrain()
 {
     drainRequested.store(true, std::memory_order_release);
+    if (wakeFd >= 0)
+        wake(); // a loop closes the idle connections
 }
 
 void
 Server::waitDrained()
 {
     beginDrain();
-    if (acceptor.joinable())
-        acceptor.join();
-
     std::unique_lock<std::mutex> lock(mu);
     if (!idle.wait_for(lock, opts.drainGrace,
                        [this] { return inflightCount == 0; })) {
@@ -426,12 +702,25 @@ Server::waitDrained()
 void
 Server::stop()
 {
-    if (listenFd < 0 && !acceptor.joinable())
+    if (loops.empty())
         return;
     waitDrained();
-    if (listenFd >= 0) {
-        ::close(listenFd);
-        listenFd = -1;
+    stopping.store(true, std::memory_order_release);
+    wake();
+    for (std::thread &thread : loops)
+        thread.join();
+    loops.clear();
+    {
+        // Only a connection accepted as the drain began can be left.
+        const std::lock_guard<std::mutex> lock(mu);
+        for (const auto &[id, conn] : connections)
+            ::close(conn->fd);
+        connections.clear();
+        inflightCount = 0;
+    }
+    for (int *fd : {&listenFd, &epollFd, &wakeFd}) {
+        ::close(*fd);
+        *fd = -1;
     }
 }
 

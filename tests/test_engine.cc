@@ -860,61 +860,5 @@ TEST(RunTrials, AllThreadsMeansTheAffinityMask)
 #endif
 }
 
-TEST(ThreadPoolSubmit, RunsEveryTaskOffTheCallerThread)
-{
-    // submit() is the serving layer's request-execution primitive:
-    // fire-and-forget onto a persistent worker, never inline on the
-    // caller, never on a freshly spawned thread.
-    const uint64_t submittedBefore =
-        obs::Registry::global().counter("sim.mc.pool.submitted").get();
-    const std::thread::id caller = std::this_thread::get_id();
-
-    constexpr int kTasks = 32;
-    std::atomic<int> done{0};
-    std::atomic<int> onCallerThread{0};
-    for (int i = 0; i < kTasks; ++i) {
-        ThreadPool::global().submit([&, caller] {
-            if (std::this_thread::get_id() == caller)
-                onCallerThread.fetch_add(1);
-            done.fetch_add(1, std::memory_order_release);
-        }, 4);
-    }
-    for (int spins = 0;
-         done.load(std::memory_order_acquire) < kTasks && spins < 1000;
-         ++spins)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-
-    EXPECT_EQ(done.load(), kTasks);
-    EXPECT_EQ(onCallerThread.load(), 0);
-    EXPECT_GE(ThreadPool::global().workerCount(), 1u);
-    EXPECT_EQ(
-        obs::Registry::global().counter("sim.mc.pool.submitted").get(),
-        submittedBefore + kTasks);
-}
-
-TEST(ThreadPoolSubmit, TasksMayNestParallelFor)
-{
-    // A submitted handler running a Monte Carlo endpoint calls
-    // parallelFor from inside a pool worker; the worker participates
-    // in the nested region like any caller, so this must not deadlock
-    // even when the region wants more executors than exist.
-    constexpr uint64_t kIndices = 1000;
-    std::vector<std::atomic<int>> hits(kIndices);
-    std::atomic<bool> finished{false};
-    ThreadPool::global().submit([&] {
-        ThreadPool::global().parallelFor(
-            kIndices, 8,
-            [&](uint64_t i) { hits[i].fetch_add(1); });
-        finished.store(true, std::memory_order_release);
-    }, 2);
-    for (int spins = 0;
-         !finished.load(std::memory_order_acquire) && spins < 1000;
-         ++spins)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_TRUE(finished.load());
-    for (uint64_t i = 0; i < kIndices; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
 } // namespace
 } // namespace lemons::engine
