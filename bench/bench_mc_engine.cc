@@ -269,13 +269,14 @@ LEMONS_BENCH(mcEngineCacheHitRate, "mc_engine.cache_hit_rate")
 
 LEMONS_BENCH(mcEngineBatchKernel, "mc_engine.batch_kernel")
 {
-    // The raw u-select kernel at the paper's connection geometry
-    // (n=175, k=18): one inverse-CDF transform per structure.
+    // The raw nominal bank kernel at the paper's connection geometry
+    // (n=175, k=18): one order-statistic draw and one transform per
+    // structure. Items stay device-equivalents (iters x n).
     const wearout::Weibull model(14.0, 8.0);
     Rng rng(ctx.seed());
     const uint64_t iters = ctx.scaled(2000000 / 175, 100);
     for (uint64_t i = 0; i < iters; ++i)
         ctx.keep(static_cast<double>(
-            engine::sampleParallelBankSurvival(model, 175, 18, rng)));
+            engine::sampleBankSurvival(model, 175, 18, rng)));
     ctx.metric("items", static_cast<double>(iters * 175));
 }

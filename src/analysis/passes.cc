@@ -173,11 +173,9 @@ namespace {
 
 /** A001/A102/A004 per lowered graph. */
 void
-analyzeGraphs(const lint::ParsedSpec &parsed,
+analyzeGraphs(const std::vector<ir::Graph> &graphs,
               std::optional<AccessBracket> demand, FileAnalysis &out)
 {
-    lint::Report scratch; // V901 belongs to --verify, not --analyze
-    const std::vector<ir::Graph> graphs = ir::lowerSpec(parsed, scratch);
     for (const ir::Graph &graph : graphs) {
         GraphBudget budget = propagateBudgets(graph, demand);
         const std::string object = budget.graph;
@@ -394,9 +392,11 @@ analyzeAdversaries(const lint::ParsedSpec &parsed, FileAnalysis &out)
 } // namespace
 
 FileAnalysis
-analyzeSpec(const lint::ParsedSpec &parsed)
+analyzeSpec(const lint::ParsedSpec &parsed,
+            const std::vector<ir::Graph> &graphs, const std::string &filename)
 {
     FileAnalysis out;
+    out.file = filename;
 
     // The hull over every declared workload is the demand injected
     // into the architecture graphs: a sound envelope whichever usage
@@ -410,10 +410,11 @@ analyzeSpec(const lint::ParsedSpec &parsed)
         demand = demand ? join(*demand, bracket) : bracket;
     }
 
-    analyzeGraphs(parsed, demand, out);
+    analyzeGraphs(graphs, demand, out);
     analyzeWorkloads(parsed, out);
     analyzeFleets(parsed, out);
     analyzeAdversaries(parsed, out);
+    out.findings.setFile(filename);
     return out;
 }
 
@@ -425,10 +426,9 @@ analyzeSpecText(std::string_view text, const std::string &filename)
     lint::Report parseFindings;
     const lint::ParsedSpec parsed =
         lint::parseSpec(text, filename, parseFindings);
-    FileAnalysis out = analyzeSpec(parsed);
-    out.file = filename;
-    out.findings.setFile(filename);
-    return out;
+    lint::Report lowerFindings; // V901 belongs to --verify, not --analyze
+    return analyzeSpec(parsed, ir::lowerSpec(parsed, lowerFindings),
+                       filename);
 }
 
 FileAnalysis

@@ -137,8 +137,15 @@ struct FileAnalysis
     lint::Report findings;
 };
 
-/** Analyze a parsed spec (graphs, workloads, fleets, obligations). */
-FileAnalysis analyzeSpec(const lint::ParsedSpec &parsed);
+/**
+ * Analyze a parsed spec (graphs, workloads, fleets, obligations) whose
+ * architecture sections are already lowered into @p graphs (the
+ * output of ir::lowerSpec on @p parsed). @p filename stamps the result
+ * and its findings.
+ */
+FileAnalysis analyzeSpec(const lint::ParsedSpec &parsed,
+                         const std::vector<ir::Graph> &graphs,
+                         const std::string &filename);
 
 /** Parse and analyze spec text; @p filename stamps diagnostics. */
 FileAnalysis analyzeSpecText(std::string_view text,

@@ -111,10 +111,12 @@ Service::verify(std::string_view body) const
         return badRequest(diagnostics);
 
     // Mirror the CLI's --verify mode: the L-range parse/rule findings
-    // and the V-range verifier findings form one merged report.
-    lint::Report findings =
-        lint::lintText(request.spec, request.filename);
-    findings.merge(verify::verifySpecText(request.spec, request.filename));
+    // and the V-range verifier findings form one merged report, from
+    // one parse.
+    lint::Report findings;
+    const lint::ParsedSpec parsed =
+        lint::parseSpec(request.spec, request.filename, findings);
+    findings.merge(verify::verifySpec(parsed, request.filename).findings);
     return processed(findings, summaryWriter(findings));
 }
 
@@ -131,12 +133,16 @@ Service::analyze(std::string_view body) const
 
     // Full L + V + A merge, the same composition `lemons-lint --json`
     // performs, so a spec analyzed over HTTP and one analyzed in CI
-    // produce identical envelopes.
-    lint::Report findings =
-        lint::lintText(request.spec, request.filename);
-    findings.merge(verify::verifySpecText(request.spec, request.filename));
+    // produce identical envelopes. One parse and one lowering feed all
+    // three passes.
+    lint::Report findings;
+    const lint::ParsedSpec parsed =
+        lint::parseSpec(request.spec, request.filename, findings);
+    verify::VerifiedSpec verified =
+        verify::verifySpec(parsed, request.filename);
+    findings.merge(std::move(verified.findings));
     analysis::FileAnalysis analysis =
-        analysis::analyzeSpecText(request.spec, request.filename);
+        analysis::analyzeSpec(parsed, verified.graphs, request.filename);
     {
         lint::Report aFindings = analysis.findings;
         findings.merge(std::move(aFindings));

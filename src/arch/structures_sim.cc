@@ -30,8 +30,8 @@ isNominalLot(const wearout::DeviceFactory &factory)
  * The classed lot of a fault plan without drift on a nominal base, in
  * sampleFaultyLifetime's draw order: the stuck-closed pick (class 0,
  * immortal), the infant pick (class 1, the earlier of the wearout and
- * infant legs at the shared uniform), else healthy (class 2). A null
- * plan draws neither pick, like the base path it takes.
+ * infant legs at the shared uniform), else healthy (class 2). A zero
+ * rate draws no pick, like sampleFaultyLifetime.
  */
 engine::ClassedLot
 faultLot(const fault::FaultyDeviceFactory &factory)
@@ -96,14 +96,13 @@ sampleParallelSurvivedAccesses(const wearout::DeviceFactory &factory,
                                size_t n, size_t k, Rng &rng)
 {
     if (isNominalLot(factory)) {
-        // iid nominal Weibull: the engine's u-select kernel consumes
-        // the identical uniform stream and returns a bit-identical
-        // order statistic with one inverse-CDF transform instead of n.
-        // Argument validation happens once, inside the kernel.
+        // iid nominal Weibull: the engine draws the bank's order
+        // statistic directly, one sample instead of n. Argument
+        // validation happens once, inside the kernel.
         LEMONS_OBS_INCREMENT("arch.sim.structure_samples");
-        LEMONS_OBS_COUNT("arch.sim.device_samples", n);
-        return engine::sampleParallelBankSurvival(factory.nominalModel(),
-                                                  n, k, rng);
+        LEMONS_OBS_INCREMENT("arch.sim.device_samples");
+        return engine::sampleBankSurvival(factory.nominalModel(), n, k,
+                                          rng);
     }
     return sampleParallelSurvivedAccesses(
         [&factory](Rng &r) { return factory.sampleLifetime(r); }, n, k,
@@ -143,9 +142,9 @@ sampleSeriesSurvivedAccesses(const wearout::DeviceFactory &factory, size_t n,
                              Rng &rng)
 {
     requireArg(n >= 1, "sampleSeriesSurvivedAccesses: n must be >= 1");
-    if (isNominalLot(factory))
-        return engine::sampleSeriesBankSurvival(factory.nominalModel(), n,
-                                                rng);
+    if (isNominalLot(factory)) // a series chain is the n-of-n bank
+        return engine::sampleBankSurvival(factory.nominalModel(), n, n,
+                                          rng);
     double minLifetime = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < n; ++i)
         minLifetime = std::min(minLifetime, factory.sampleLifetime(rng));
@@ -233,13 +232,18 @@ sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
     requireArg(k >= 1 && k <= n,
                "sampleFaultyParallelSurvivedAccesses: need 1 <= k <= n");
     LEMONS_OBS_INCREMENT("arch.sim.faulty_structure_samples");
-    LEMONS_OBS_COUNT("arch.sim.device_samples", n);
     FaultySurvival survival;
     const fault::FaultPlan &plan = factory.plan();
+    if (plan.isNull() && isNominalLot(factory.base())) {
+        // A null plan is its base lot: the nominal order-statistic draw.
+        LEMONS_OBS_INCREMENT("arch.sim.device_samples");
+        survival.accesses = engine::sampleBankSurvival(
+            factory.base().nominalModel(), n, k, rng);
+        return survival;
+    }
+    LEMONS_OBS_COUNT("arch.sim.device_samples", n);
     if (isNominalLot(factory.base()) && plan.alphaDriftSigma == 0.0 &&
         plan.betaDriftSigma == 0.0) {
-        if (plan.isNull()) // the base path's Weibull::sample calls
-            LEMONS_OBS_COUNT("wearout.weibull.samples", n);
         const engine::ClassedBankSample bank =
             engine::sampleClassedBank(faultLot(factory), n, k, rng);
         survival.accesses = bank.accesses;

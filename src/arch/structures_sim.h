@@ -22,8 +22,9 @@ namespace lemons::arch {
 /**
  * Arbitrary lifetime source: draws one device time-to-failure. The
  * per-device reference path: it pays one sampler call and one
- * transform per device, and the order-statistic kernels are tested
- * bit-equal against it.
+ * transform per device. The classed order-statistic kernels are tested
+ * bit-equal against it, the nominal one (engine::sampleBankSurvival)
+ * equal in law by the statistical oracle.
  */
 using LifetimeSampler = std::function<double(Rng &)>;
 
@@ -57,7 +58,9 @@ uint64_t sampleSerialCopiesTotalAccesses(const wearout::BathtubModel &model,
  * Sample the number of whole accesses a k-out-of-n parallel structure
  * survives: each access actuates every device; the structure works
  * while at least k devices still close. Equals floor of the k-th
- * largest sampled lifetime.
+ * largest sampled lifetime. A lot without process variation draws
+ * that order statistic directly (engine::sampleBankSurvival): the same
+ * law as per-device sampling, in one draw instead of n.
  *
  * @param factory Device fabrication model.
  * @param n Structure width. @param k Alive threshold (1 <= k <= n).
@@ -151,10 +154,12 @@ struct FaultySurvival
 /**
  * Fault-injected counterpart of sampleParallelSurvivedAccesses.
  * Transient glitches are ignored here: they fail individual reads but
- * do not move the wearout order statistics. A plan without drift on a
- * lot without process variation runs through the classed
- * order-statistic kernel (stuck-closed, infant and healthy classes);
- * the result and the draws are those of per-device sampling.
+ * do not move the wearout order statistics. On a lot without process
+ * variation, a null plan is the nominal bank (the draw and result of
+ * sampleParallelSurvivedAccesses), and any other plan without drift
+ * runs through the classed order-statistic kernel (stuck-closed,
+ * infant and healthy classes) with the draws and result of per-device
+ * sampling.
  */
 FaultySurvival
 sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,

@@ -7,32 +7,12 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/fastmath.h"
 #include "util/require.h"
-#include "util/simd.h"
-
-#if defined(__x86_64__) && !defined(LEMONS_NO_SIMD)
-#define LEMONS_BATCH_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace lemons::engine {
 
 namespace {
-
-/**
- * Per-thread uniform scratch for banks wider than the stack buffer:
- * structure widths recur (every trial of a run uses the same n), so
- * one thread-local buffer removes the per-structure allocation the
- * legacy path paid.
- */
-thread_local std::vector<double> uniformScratch;
-
-/** Bank widths up to this stay in a stack buffer (4 KiB): no TLS-init
- *  guard, no resize bookkeeping on the per-trial hot path. */
-constexpr size_t kStackBankWidth = 512;
-
-/** Trials per transform batch in the Many kernel. */
-constexpr size_t kManyBatch = 256;
 
 /** Raw draws per bulk fill in the classed kernel (4 KiB of stack). */
 constexpr size_t kRawChunk = 512;
@@ -42,104 +22,113 @@ constexpr size_t kRawChunk = 512;
 thread_local std::vector<double> classUniforms[ClassedLot::kMaxPicks + 1];
 thread_local std::vector<double> candidateScratch;
 
-double *
-scratchFor(size_t n, double *stackBuf)
+/**
+ * Standard normals by Marsaglia's polar method on detLog and sqrt
+ * (both exact-sequence, so no libm), keeping the second variate of
+ * each pair for the next call.
+ */
+class PolarNormal
 {
-    if (n <= kStackBankWidth)
-        return stackBuf;
-    std::vector<double> &u = uniformScratch;
-    if (u.size() < n)
-        u.resize(n);
-    return u.data();
-}
+  public:
+    double next(Rng &rng)
+    {
+        if (hasSpare) {
+            hasSpare = false;
+            return spare;
+        }
+        double x = 0.0;
+        double y = 0.0;
+        double s = 0.0;
+        do {
+            x = 2.0 * rng.nextDouble() - 1.0;
+            y = 2.0 * rng.nextDouble() - 1.0;
+            s = x * x + y * y;
+        } while (s >= 1.0 || s == 0.0);
+        const double f = std::sqrt(-2.0 * fastmath::detLog(s) / s);
+        spare = y * f;
+        hasSpare = true;
+        return x * f;
+    }
 
-#if defined(LEMONS_BATCH_AVX2)
+  private:
+    double spare = 0.0;
+    bool hasSpare = false;
+};
 
 /**
- * Horizontal min/max over positive finite doubles. Comparisons are
- * exact, the data has no NaNs and no signed zeros, so the reduction
- * returns the identical VALUE as the scalar loop regardless of the
- * association order — which is all the bit-identity contract needs
- * (the selected uniform, not any intermediate, feeds the transform).
+ * One Gamma(@p shape, 1) variate for shape >= 1: G. Marsaglia and
+ * W. W. Tsang, "A simple method for generating gamma variables",
+ * ACM TOMS 26(3), 2000. Exact (rejection, not an approximation); the
+ * squeeze accepts about 98 % of proposals without a log.
  */
-__attribute__((target("avx2"))) double
-minOfAvx2(const double *values, size_t count)
-{
-    __m256d best = _mm256_loadu_pd(values);
-    size_t i = 4;
-    for (; i + 4 <= count; i += 4)
-        best = _mm256_min_pd(best, _mm256_loadu_pd(values + i));
-    const __m128d folded = _mm_min_pd(_mm256_castpd256_pd128(best),
-                                      _mm256_extractf128_pd(best, 1));
-    double lanes[2];
-    _mm_storeu_pd(lanes, folded);
-    double result = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-    for (; i < count; ++i)
-        result = values[i] < result ? values[i] : result;
-    return result;
-}
-
-__attribute__((target("avx2"))) double
-maxOfAvx2(const double *values, size_t count)
-{
-    __m256d best = _mm256_loadu_pd(values);
-    size_t i = 4;
-    for (; i + 4 <= count; i += 4)
-        best = _mm256_max_pd(best, _mm256_loadu_pd(values + i));
-    const __m128d folded = _mm_max_pd(_mm256_castpd256_pd128(best),
-                                      _mm256_extractf128_pd(best, 1));
-    double lanes[2];
-    _mm_storeu_pd(lanes, folded);
-    double result = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-    for (; i < count; ++i)
-        result = values[i] > result ? values[i] : result;
-    return result;
-}
-
-#endif // LEMONS_BATCH_AVX2
-
 double
-minOf(const double *values, size_t count)
+gammaVariate(double shape, PolarNormal &normal, Rng &rng)
 {
-#if defined(LEMONS_BATCH_AVX2)
-    if (count >= 4 && simd::activeLevel() == simd::Level::Avx2)
-        return minOfAvx2(values, count);
-#endif
-    double result = values[0];
-    for (size_t i = 1; i < count; ++i)
-        result = values[i] < result ? values[i] : result;
-    return result;
+    const double d = shape - 1.0 / 3.0;
+    const double c = 1.0 / std::sqrt(9.0 * d);
+    for (;;) {
+        double x = 0.0;
+        double v = 0.0;
+        do {
+            x = normal.next(rng);
+            v = 1.0 + c * x;
+        } while (v <= 0.0);
+        v = v * v * v;
+        const double u = rng.nextDoubleOpenLow();
+        const double x2 = x * x;
+        if (u < 1.0 - 0.0331 * x2 * x2)
+            return d * v;
+        if (fastmath::detLog(u) <
+            0.5 * x2 + d * (1.0 - v + fastmath::detLog(v)))
+            return d * v;
+    }
 }
 
+/** 1/13, 1/12, ..., 1/2: the Horner factors of oneMinusExpNeg. */
+constexpr double kInverseJ[] = {1.0 / 13.0, 1.0 / 12.0, 1.0 / 11.0,
+                                1.0 / 10.0, 1.0 / 9.0,  1.0 / 8.0,
+                                1.0 / 7.0,  1.0 / 6.0,  1.0 / 5.0,
+                                1.0 / 4.0,  1.0 / 3.0,  1.0 / 2.0};
+
+/**
+ * 1 - e^-y for y > 0 without cancellation: below 0.25 the alternating
+ * Taylor series y (1 - y/2 (1 - y/3 (1 - ...))) to y^13 (truncation
+ * under 1e-17 relative), above it the direct form, where e^-y <= 0.78.
+ */
 double
-maxOf(const double *values, size_t count)
+oneMinusExpNeg(double y)
 {
-#if defined(LEMONS_BATCH_AVX2)
-    if (count >= 4 && simd::activeLevel() == simd::Level::Avx2)
-        return maxOfAvx2(values, count);
-#endif
-    double result = values[0];
-    for (size_t i = 1; i < count; ++i)
-        result = values[i] > result ? values[i] : result;
-    return result;
+    if (y >= 0.25)
+        return 1.0 - fastmath::detExp(-y);
+    double s = 1.0;
+    for (const double inverse : kInverseJ)
+        s = 1.0 - y * inverse * s;
+    return y * s;
 }
 
 /**
- * k-th smallest of @p u[0..n). The selected value is a member of the
- * input set, so ANY selection algorithm returns the same double: the
- * SIMD min/max reductions (the dominant k == 1 / k == n structure
- * configurations) and the scalar nth_element middle case are all
- * bit-identical by construction. Reorders @p u.
+ * -ln U(k:n), the cumulative hazard of a k-of-n bank's lifetime, drawn
+ * directly: see sampleBankSurvival.
  */
 double
-selectKthSmallest(double *u, size_t n, size_t k)
+bankHazard(size_t n, size_t k, Rng &rng)
 {
-    if (k == 1)
-        return minOf(u, n);
+    const double width = static_cast<double>(n);
     if (k == n)
-        return maxOf(u, n);
-    std::nth_element(u, u + (k - 1), u + n);
-    return u[k - 1];
+        return -fastmath::detLog(rng.nextDoubleOpenLow()) / width;
+    if (k == 1) {
+        // V strictly inside (0, 1), so y > 0 and U(1:n) > 0.
+        const double v =
+            (static_cast<double>(rng.next() >> 11) + 0.5) * 0x1.0p-53;
+        return -fastmath::detLog(
+            oneMinusExpNeg(-fastmath::detLog(v) / width));
+    }
+    PolarNormal normal;
+    const double x = gammaVariate(static_cast<double>(k), normal, rng);
+    const double y =
+        gammaVariate(static_cast<double>(n - k + 1), normal, rng);
+    // -ln(X / (X + Y)) = ln(1 + Y / X).
+    return fastmath::detLog(1.0 + y / x);
 }
 
 /** One class's lifetime at uniform @p u, exactly as the per-device
@@ -183,74 +172,13 @@ floorToAccesses(double lifetime)
 }
 
 uint64_t
-sampleParallelBankSurvival(const wearout::Weibull &model, size_t n, size_t k,
-                           Rng &rng)
+sampleBankSurvival(const wearout::Weibull &model, size_t n, size_t k,
+                   Rng &rng)
 {
-    requireArg(n >= 1, "sampleParallelBankSurvival: n must be >= 1");
-    requireArg(k >= 1 && k <= n,
-               "sampleParallelBankSurvival: need 1 <= k <= n");
-    // Bulk-bump the same counter n individual Weibull::sample calls
-    // would have incremented, keeping the atomic off the inner loop.
-    LEMONS_OBS_COUNT("wearout.weibull.samples", n);
-    // T(u) = alpha * (-ln u)^(1/beta) is monotone non-increasing, so
-    // the k-th LARGEST lifetime is T of the k-th SMALLEST uniform:
-    // select first, transform once. The dominant k == 1 configuration
-    // reduces fused with generation (no uniform array at all).
-    if (k == 1)
-        return floorToAccesses(
-            model.sampleFromUniform(rng.minUniformOpenLow(n)));
-    double stackBuf[kStackBankWidth];
-    double *u = scratchFor(n, stackBuf);
-    rng.fillUniformOpenLow(u, n);
-    return floorToAccesses(
-        model.sampleFromUniform(selectKthSmallest(u, n, k)));
-}
-
-uint64_t
-sampleSeriesBankSurvival(const wearout::Weibull &model, size_t n, Rng &rng)
-{
-    requireArg(n >= 1, "sampleSeriesBankSurvival: n must be >= 1");
-    LEMONS_OBS_COUNT("wearout.weibull.samples", n);
-    // min over lifetimes == T(max over uniforms), by the same
-    // monotonicity argument as the parallel kernel; the max reduces
-    // fused with generation.
-    return floorToAccesses(
-        model.sampleFromUniform(rng.maxUniformOpenLow(n)));
-}
-
-void
-sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
-                               size_t k, Rng &rng, uint64_t *out,
-                               size_t trials)
-{
-    requireArg(n >= 1, "sampleParallelBankSurvivalMany: n must be >= 1");
-    requireArg(k >= 1 && k <= n,
-               "sampleParallelBankSurvivalMany: need 1 <= k <= n");
-    LEMONS_OBS_COUNT("wearout.weibull.samples", n * trials);
-    double stackBuf[kStackBankWidth];
-    double *u = scratchFor(n, stackBuf);
-    // Select each trial's uniform, then push the order statistics
-    // through the four-lane batched inverse CDF. Identical draws and
-    // identical per-element operation sequence as `trials` sequential
-    // sampleParallelBankSurvival calls, hence bit-identical results.
-    double selected[kManyBatch];
-    double lifetimes[kManyBatch];
-    size_t done = 0;
-    while (done < trials) {
-        const size_t batch = std::min(kManyBatch, trials - done);
-        for (size_t t = 0; t < batch; ++t) {
-            if (k == 1) {
-                selected[t] = rng.minUniformOpenLow(n);
-            } else {
-                rng.fillUniformOpenLow(u, n);
-                selected[t] = selectKthSmallest(u, n, k);
-            }
-        }
-        model.sampleFromUniformBatch(selected, batch, lifetimes);
-        for (size_t t = 0; t < batch; ++t)
-            out[done + t] = floorToAccesses(lifetimes[t]);
-        done += batch;
-    }
+    requireArg(n >= 1, "sampleBankSurvival: n must be >= 1");
+    requireArg(k >= 1 && k <= n, "sampleBankSurvival: need 1 <= k <= n");
+    LEMONS_OBS_INCREMENT("wearout.weibull.samples");
+    return floorToAccesses(model.lifetimeAtHazard(bankHazard(n, k, rng)));
 }
 
 ClassedBankSample

@@ -2,35 +2,32 @@
  * @file
  * Order-statistic trial kernels for whole device banks.
  *
- * The per-device simulation path draws n lifetimes, one pow/log
- * inverse-CDF transform each, and order-selects them. A k-of-n bank
- * only needs its k-th largest lifetime, and every lifetime law here is
- * monotone non-increasing in the device's uniform u: for a Weibull,
- * T(u) = alpha * (-ln u)^(1/beta). So the kernels order-select the raw
- * uniforms first and transform only the few that can matter. The
- * result is bit-identical to the per-device path (monotone maps
- * preserve order statistics, and each selected uniform goes through
- * the very same sampleFromUniform), and the kernels consume the
- * identical RNG stream: same draws, same order, same stream position
- * afterwards.
+ * A k-out-of-n bank survives floor of its k-th largest device
+ * lifetime, and every lifetime law here is monotone non-increasing in
+ * the device's uniform u: for a Weibull, T(u) = alpha * (-ln u)^(1/beta).
+ * So the bank's lifetime is T(U(k:n)), with U(k:n) the k-th smallest
+ * of n iid uniforms. Two kernel families use that:
  *
- * Two kernel families share that contract:
- *
- *  - Nominal Weibull lots (sampleParallelBankSurvival and friends):
- *    one transform per structure.
+ *  - Nominal Weibull lots (sampleBankSurvival): U(k:n) ~
+ *    Beta(k, n - k + 1) is drawn directly, in O(1) whatever n is, and
+ *    transformed once. The result has the exact law of the per-device
+ *    path, P(A >= t) = P(Binomial(n, S(t)) >= k), but not its bits or
+ *    its draw count: the statistical-equivalence oracle
+ *    (tests/oracle/) is what pins it to the per-device reference.
  *  - Classed lots (ClassedLot, sampleClassedBank): each device first
  *    draws class picks — a bathtub mixture's infant/main Bernoulli, a
  *    fault plan's stuck-closed and infant-mortality decisions — and
  *    then one lifetime uniform; its lifetime is its class's law at
  *    that uniform. The kernel keeps the k smallest uniforms per class
- *    and transforms at most k per class.
+ *    and transforms at most k per class. It consumes the very draws of
+ *    per-device sampling, in the same order, and returns a
+ *    bit-identical result.
  *
- * On counter-based trial streams (Rng::trialStream) the draws are
- * bulk-generated through the dispatched Philox batch, and the k == 1 /
- * k == n selections reduce with AVX2 min/max — both bit-identical to
- * the scalar path, so SIMD width never changes results (enforced by
- * the determinism suites). Lots that draw per-device parameters
- * (process variation, fault-plan drift) stay on the per-device path.
+ * Both are SIMD-level invariant: the nominal kernel is scalar
+ * fastmath and sqrt only, and the classed kernel's bulk Philox fill
+ * is bit-identical to the scalar blocks (enforced by the determinism
+ * suites). Lots that draw per-device parameters (process variation,
+ * fault-plan drift) stay on the per-device path.
  */
 
 #ifndef LEMONS_ENGINE_BATCH_H_
@@ -56,31 +53,21 @@ uint64_t floorToAccesses(double lifetime);
 
 /**
  * Survived accesses of one k-out-of-n parallel bank of iid
- * Weibull(@p model) devices: floor of the k-th largest lifetime.
- * Consumes exactly n uniforms from @p rng, in the same order as n
- * individual Weibull::sample calls, and returns a bit-identical
- * result — but with one transform instead of n.
+ * Weibull(@p model) devices: floor(T(U(k:n))). Draws U(k:n) directly
+ * on @p rng, whatever n is:
+ *
+ *  - k = n: U = V^(1/n), so -ln U = -ln V / n (a series chain is the
+ *    k = n bank);
+ *  - k = 1: U = 1 - V^(1/n);
+ *  - otherwise U = X / (X + Y) with X ~ Gamma(k), Y ~ Gamma(n - k + 1),
+ *    each by Marsaglia-Tsang on polar-method normals.
+ *
+ * Uses only fastmath and sqrt, so results do not depend on libm or on
+ * the SIMD dispatch level. Counts one `wearout.weibull.samples`.
+ * @pre 1 <= k <= n.
  */
-uint64_t sampleParallelBankSurvival(const wearout::Weibull &model, size_t n,
-                                    size_t k, Rng &rng);
-
-/**
- * Survived accesses of one n-device series bank: floor of the minimum
- * lifetime, i.e. the transform of the maximum uniform. Same stream
- * consumption and bit-identity guarantee as the parallel kernel.
- */
-uint64_t sampleSeriesBankSurvival(const wearout::Weibull &model, size_t n,
-                                  Rng &rng);
-
-/**
- * Batched form: fill @p out[0..trials) with independent parallel-bank
- * survivals, drawing all randomness from @p rng in trial order. The
- * per-trial draws match `trials` sequential sampleParallelBankSurvival
- * calls exactly.
- */
-void sampleParallelBankSurvivalMany(const wearout::Weibull &model, size_t n,
-                                    size_t k, Rng &rng, uint64_t *out,
-                                    size_t trials);
+uint64_t sampleBankSurvival(const wearout::Weibull &model, size_t n,
+                            size_t k, Rng &rng);
 
 /**
  * A bank lot whose devices fall into a few lifetime classes. Each

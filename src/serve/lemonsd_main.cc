@@ -11,7 +11,8 @@
  * accepting stops, idle connections close, in-flight requests finish
  * (Monte Carlo runs are cancelled at the next wave boundary once the
  * grace period expires), and the daemon exits 0. A second signal
- * during the drain exits immediately.
+ * during the drain exits at once with status 1, abandoning whatever
+ * is still in flight.
  *
  * --port 0 binds an ephemeral port; --port-file writes the resolved
  * port (one line) so scripts and the CI smoke test can find it
@@ -21,6 +22,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -167,8 +169,18 @@ main(int argc, char **argv)
         continue;
     std::cout << "lemonsd: draining (" << server.inflight()
               << " request(s) in flight)" << std::endl;
-    server.beginDrain();
-    server.waitDrained();
+    // Keep watching the pipe while the drain runs: a second signal
+    // ends the process without waiting for slow requests.
+    const auto secondSignal = [] {
+        pollfd watch = {signalPipe[0], POLLIN, 0};
+        return ::poll(&watch, 1, 0) > 0;
+    };
+    if (!server.waitDrained(secondSignal)) {
+        std::cout << "lemonsd: second signal, exiting without draining ("
+                  << server.inflight() << " request(s) in flight)"
+                  << std::endl;
+        std::_Exit(1);
+    }
     server.stop();
     std::cout << "lemonsd: drained, exiting" << std::endl;
     return 0;

@@ -28,6 +28,9 @@ namespace {
 /** Listener pause after accept() runs out of descriptors. */
 constexpr std::chrono::milliseconds kAcceptBackoff{10};
 
+/** How often waitDrained() re-checks while requests remain. */
+constexpr std::chrono::milliseconds kDrainPoll{20};
+
 /** epoll tags of the two descriptors that are not connections
  *  (Server::nextId starts above them). */
 constexpr uint64_t kListenTag = 0;
@@ -683,20 +686,31 @@ Server::beginDrain()
         wake(); // a loop closes the idle connections
 }
 
-void
-Server::waitDrained()
+bool
+Server::waitDrained(const std::function<bool()> &abandon)
 {
     beginDrain();
+    const auto drained = [this] { return inflightCount == 0; };
+    const auto graceEnd = std::chrono::steady_clock::now() + opts.drainGrace;
+    bool cancelled = false;
     std::unique_lock<std::mutex> lock(mu);
-    if (!idle.wait_for(lock, opts.drainGrace,
-                       [this] { return inflightCount == 0; })) {
-        // Grace expired: stop in-flight Monte Carlo runs at their
-        // next wave boundary. Handlers still produce well-formed
-        // (partial, interrupted-flagged) responses.
-        LEMONS_OBS_INCREMENT("serve.drain.cancelled");
-        drainCancel.cancel();
-        idle.wait(lock, [this] { return inflightCount == 0; });
+    while (!drained()) {
+        if (abandon && abandon())
+            return false;
+        const auto now = std::chrono::steady_clock::now();
+        if (!cancelled && now >= graceEnd) {
+            // Grace expired: stop in-flight Monte Carlo runs at their
+            // next wave boundary. Handlers still produce well-formed
+            // (partial, interrupted-flagged) responses.
+            LEMONS_OBS_INCREMENT("serve.drain.cancelled");
+            drainCancel.cancel();
+            cancelled = true;
+        }
+        const auto poll = now + kDrainPoll;
+        idle.wait_until(lock, cancelled ? poll : std::min(poll, graceEnd),
+                        drained);
     }
+    return true;
 }
 
 void

@@ -55,6 +55,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -127,8 +128,13 @@ class Server
      * Block until every started request has been answered: waits
      * drainGrace for voluntary completion, then cancels in-flight
      * Monte Carlo runs and waits for the (now prompt) remainder.
+     *
+     * When @p abandon is set it is polled about every 20 ms while
+     * requests remain; once it returns true the wait gives up and
+     * returns false, leaving the drain unfinished (lemonsd's second
+     * signal). Returns true once the server is drained.
      */
-    void waitDrained();
+    bool waitDrained(const std::function<bool()> &abandon = {});
 
     /** beginDrain + waitDrained, then stop the loops and close every
      *  socket. */

@@ -202,65 +202,6 @@ philoxBlocksX8Avx2(Key key, uint64_t trial, uint64_t firstBlock, DrawsX4 &a,
 }
 
 /**
- * Three independent four-block groups (12 blocks): the sweet spot for
- * short latency-sensitive reductions — 12 state vectors plus two key
- * vectors and the two multipliers fill the sixteen ymm registers
- * exactly, so the 10-round loop runs spill-free with three chains
- * hiding each other's multiply latency. Bit-identical to three X4
- * calls.
- */
-__attribute__((target("avx2"))) inline void
-philoxBlocksX12Avx2(Key key, uint64_t trial, uint64_t firstBlock,
-                    DrawsX4 &a, DrawsX4 &b, DrawsX4 &c)
-{
-    const __m256i mult0 = _mm256_set1_epi64x(static_cast<long long>(kMult0));
-    const __m256i mult1 = _mm256_set1_epi64x(static_cast<long long>(kMult1));
-    const __m256i weyl0 = _mm256_set1_epi64x(static_cast<long long>(kWeyl0));
-    const __m256i weyl1 = _mm256_set1_epi64x(static_cast<long long>(kWeyl1));
-    const __m256i mask32 =
-        _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFFULL));
-    StateX4 sa = philoxCountersX4Avx2(trial, firstBlock);
-    StateX4 sb = philoxCountersX4Avx2(trial, firstBlock + 4);
-    StateX4 sc = philoxCountersX4Avx2(trial, firstBlock + 8);
-    __m256i k0 = _mm256_set1_epi64x(static_cast<long long>(key[0]));
-    __m256i k1 = _mm256_set1_epi64x(static_cast<long long>(key[1]));
-
-    for (int round = 0; round < kRounds; ++round) {
-        if (round != 0) {
-            k0 = _mm256_add_epi32(k0, weyl0);
-            k1 = _mm256_add_epi32(k1, weyl1);
-        }
-        const __m256i pa0 = _mm256_mul_epu32(sa.c0, mult0);
-        const __m256i pb0 = _mm256_mul_epu32(sb.c0, mult0);
-        const __m256i pc0 = _mm256_mul_epu32(sc.c0, mult0);
-        const __m256i pa1 = _mm256_mul_epu32(sa.c2, mult1);
-        const __m256i pb1 = _mm256_mul_epu32(sb.c2, mult1);
-        const __m256i pc1 = _mm256_mul_epu32(sc.c2, mult1);
-        sa.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pa1, 32), sa.c1), k0);
-        sb.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pb1, 32), sb.c1), k0);
-        sc.c0 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pc1, 32), sc.c1), k0);
-        sa.c1 = _mm256_and_si256(pa1, mask32);
-        sb.c1 = _mm256_and_si256(pb1, mask32);
-        sc.c1 = _mm256_and_si256(pc1, mask32);
-        sa.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pa0, 32), sa.c3), k1);
-        sb.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pb0, 32), sb.c3), k1);
-        sc.c2 = _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_srli_epi64(pc0, 32), sc.c3), k1);
-        sa.c3 = _mm256_and_si256(pa0, mask32);
-        sb.c3 = _mm256_and_si256(pb0, mask32);
-        sc.c3 = _mm256_and_si256(pc0, mask32);
-    }
-    a = philoxDrawsX4Avx2(sa);
-    b = philoxDrawsX4Avx2(sb);
-    c = philoxDrawsX4Avx2(sc);
-}
-
-/**
  * Four independent four-block groups (16 blocks) with interleaved
  * round bodies. Two chains (the X8 body) still leave the multipliers
  * idle for most of each round's latency; four chains get within ~2x of
@@ -405,81 +346,6 @@ drawsToUniformAvx2(__m256i w)
     return _mm256_mul_pd(value, _mm256_set1_pd(0x1.0p-53));
 }
 
-/** Fused generate-and-reduce: min (Max = false) or max (Max = true)
- *  of all 2 * blockCount uniforms of the given block range. */
-template <bool Max>
-__attribute__((target("avx2"))) double
-extremeUniformAvx2(Key key, uint64_t trial, uint64_t firstBlock,
-                   size_t blockCount)
-{
-    // Uniforms lie in (0, 1]: 1.0 is an identity for min, and any
-    // generated draw replaces the 0.0 max seed.
-    __m256d acc = _mm256_set1_pd(Max ? 0.0 : 1.0);
-    size_t i = 0;
-    for (; i + 12 <= blockCount; i += 12) {
-        DrawsX4 a, b, c;
-        philoxBlocksX12Avx2(key, trial, firstBlock + i, a, b, c);
-        const __m256d u0 = drawsToUniformAvx2(a.first);
-        const __m256d u1 = drawsToUniformAvx2(a.second);
-        const __m256d u2 = drawsToUniformAvx2(b.first);
-        const __m256d u3 = drawsToUniformAvx2(b.second);
-        const __m256d u4 = drawsToUniformAvx2(c.first);
-        const __m256d u5 = drawsToUniformAvx2(c.second);
-        if (Max) {
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u0, u1));
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u2, u3));
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u4, u5));
-        } else {
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u0, u1));
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u2, u3));
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u4, u5));
-        }
-    }
-    if (i + 8 <= blockCount) {
-        DrawsX4 a, b;
-        philoxBlocksX8Avx2(key, trial, firstBlock + i, a, b);
-        const __m256d u0 = drawsToUniformAvx2(a.first);
-        const __m256d u1 = drawsToUniformAvx2(a.second);
-        const __m256d u2 = drawsToUniformAvx2(b.first);
-        const __m256d u3 = drawsToUniformAvx2(b.second);
-        if (Max) {
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u0, u1));
-            acc = _mm256_max_pd(acc, _mm256_max_pd(u2, u3));
-        } else {
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u0, u1));
-            acc = _mm256_min_pd(acc, _mm256_min_pd(u2, u3));
-        }
-        i += 8;
-    }
-    if (i + 4 <= blockCount) {
-        const DrawsX4 draws = philoxBlocksX4Avx2(key, trial, firstBlock + i);
-        const __m256d u0 = drawsToUniformAvx2(draws.first);
-        const __m256d u1 = drawsToUniformAvx2(draws.second);
-        acc = Max ? _mm256_max_pd(acc, _mm256_max_pd(u0, u1))
-                  : _mm256_min_pd(acc, _mm256_min_pd(u0, u1));
-        i += 4;
-    }
-    const __m128d folded =
-        Max ? _mm_max_pd(_mm256_castpd256_pd128(acc),
-                         _mm256_extractf128_pd(acc, 1))
-            : _mm_min_pd(_mm256_castpd256_pd128(acc),
-                         _mm256_extractf128_pd(acc, 1));
-    double lanes[2];
-    _mm_storeu_pd(lanes, folded);
-    double result = Max ? (lanes[0] > lanes[1] ? lanes[0] : lanes[1])
-                        : (lanes[0] < lanes[1] ? lanes[0] : lanes[1]);
-    for (; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        for (const uint64_t w : draws) {
-            const double u = toUniformOpenLow(w);
-            if (Max ? (u > result) : (u < result))
-                result = u;
-        }
-    }
-    return result;
-}
-
 __attribute__((target("avx2"))) void
 fillUniformAvx2(Key key, uint64_t trial, uint64_t firstBlock, double *out,
                 size_t blockCount)
@@ -609,48 +475,6 @@ fillUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock, double *out,
     }
 #endif
     fillUniformScalar(key, trial, firstBlock, out, blockCount);
-}
-
-double
-minUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
-                  size_t blockCount)
-{
-#if defined(LEMONS_PHILOX_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2)
-        return extremeUniformAvx2<false>(key, trial, firstBlock, blockCount);
-#endif
-    double result = 1.0;
-    for (size_t i = 0; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        for (const uint64_t w : draws) {
-            const double u = toUniformOpenLow(w);
-            if (u < result)
-                result = u;
-        }
-    }
-    return result;
-}
-
-double
-maxUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
-                  size_t blockCount)
-{
-#if defined(LEMONS_PHILOX_AVX2)
-    if (simd::activeLevel() == simd::Level::Avx2)
-        return extremeUniformAvx2<true>(key, trial, firstBlock, blockCount);
-#endif
-    double result = 0.0;
-    for (size_t i = 0; i < blockCount; ++i) {
-        const std::array<uint64_t, 2> draws =
-            blockDraws(block(makeCounter(trial, firstBlock + i), key));
-        for (const uint64_t w : draws) {
-            const double u = toUniformOpenLow(w);
-            if (u > result)
-                result = u;
-        }
-    }
-    return result;
 }
 
 } // namespace lemons::philox

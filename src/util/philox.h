@@ -92,18 +92,6 @@ void fillRaw64(Key key, uint64_t trial, uint64_t firstBlock, uint64_t *out,
 void fillUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
                         double *out, size_t blockCount);
 
-/**
- * Minimum / maximum of the 2 * blockCount uniforms fillUniformOpenLow
- * would write, without materializing them. The extrema of a set of
- * exact doubles are order-independent, so the fused AVX2 reduction
- * returns the identical VALUE as a scalar pass over the filled array —
- * the property the k = 1 / k = n order-statistic kernels need.
- */
-double minUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
-                         size_t blockCount);
-double maxUniformOpenLow(Key key, uint64_t trial, uint64_t firstBlock,
-                         size_t blockCount);
-
 } // namespace lemons::philox
 
 #endif // LEMONS_UTIL_PHILOX_H_

@@ -97,46 +97,6 @@ Rng::nextDoubleOpenLow()
 }
 
 void
-Rng::fillUniformOpenLow(double *out, size_t count)
-{
-    if (mode != Mode::Philox) {
-        for (size_t i = 0; i < count; ++i)
-            out[i] = nextDoubleOpenLow();
-        return;
-    }
-
-    size_t filled = 0;
-    if (hasBufferedDraw && filled < count) {
-        hasBufferedDraw = false;
-        out[filled++] = uniformOpenLowFromWord(state[kBufferedWord]);
-    }
-
-    // Bulk-generate whole blocks (two draws each) straight into the
-    // output through the dispatched Philox batch with its fused (and
-    // exact) uniform conversion; the stream position advances exactly
-    // as sequential next() calls would.
-    const philox::Key key = philox::keyWords(state[kKeyWord]);
-    const size_t wholeBlocks = (count - filled) / 2;
-    if (wholeBlocks > 0) {
-        philox::fillUniformOpenLow(key, state[kTrialWord], state[kBlockWord],
-                                   out + filled, wholeBlocks);
-        state[kBlockWord] += wholeBlocks;
-        filled += 2 * wholeBlocks;
-    }
-
-    if (filled < count) {
-        // Odd tail: consume the first draw of one more block and leave
-        // its second draw buffered, like next() does.
-        uint64_t raw[2];
-        philox::fillRaw64(key, state[kTrialWord], state[kBlockWord], raw, 1);
-        ++state[kBlockWord];
-        out[filled] = uniformOpenLowFromWord(raw[0]);
-        state[kBufferedWord] = raw[1];
-        hasBufferedDraw = true;
-    }
-}
-
-void
 Rng::fillRaw(uint64_t *out, size_t count)
 {
     if (mode != Mode::Philox) {
@@ -159,70 +119,6 @@ Rng::fillRaw(uint64_t *out, size_t count)
     }
     if (filled < count)
         out[filled] = next(); // odd tail: buffers the block's second draw
-}
-
-double
-Rng::minUniformOpenLow(size_t count)
-{
-    requireArg(count > 0, "Rng::minUniformOpenLow: count must be > 0");
-    if (mode != Mode::Philox) {
-        double result = 1.0;
-        for (size_t i = 0; i < count; ++i)
-            result = std::min(result, nextDoubleOpenLow());
-        return result;
-    }
-    double result = 1.0;
-    size_t remaining = count;
-    if (hasBufferedDraw) {
-        hasBufferedDraw = false;
-        result = uniformOpenLowFromWord(state[kBufferedWord]);
-        --remaining;
-    }
-    const philox::Key key = philox::keyWords(state[kKeyWord]);
-    const size_t wholeBlocks = remaining / 2;
-    if (wholeBlocks > 0) {
-        result = std::min(
-            result, philox::minUniformOpenLow(key, state[kTrialWord],
-                                              state[kBlockWord],
-                                              wholeBlocks));
-        state[kBlockWord] += wholeBlocks;
-        remaining -= 2 * wholeBlocks;
-    }
-    if (remaining > 0)
-        result = std::min(result, nextDoubleOpenLow());
-    return result;
-}
-
-double
-Rng::maxUniformOpenLow(size_t count)
-{
-    requireArg(count > 0, "Rng::maxUniformOpenLow: count must be > 0");
-    if (mode != Mode::Philox) {
-        double result = 0.0;
-        for (size_t i = 0; i < count; ++i)
-            result = std::max(result, nextDoubleOpenLow());
-        return result;
-    }
-    double result = 0.0;
-    size_t remaining = count;
-    if (hasBufferedDraw) {
-        hasBufferedDraw = false;
-        result = uniformOpenLowFromWord(state[kBufferedWord]);
-        --remaining;
-    }
-    const philox::Key key = philox::keyWords(state[kKeyWord]);
-    const size_t wholeBlocks = remaining / 2;
-    if (wholeBlocks > 0) {
-        result = std::max(
-            result, philox::maxUniformOpenLow(key, state[kTrialWord],
-                                              state[kBlockWord],
-                                              wholeBlocks));
-        state[kBlockWord] += wholeBlocks;
-        remaining -= 2 * wholeBlocks;
-    }
-    if (remaining > 0)
-        result = std::max(result, nextDoubleOpenLow());
-    return result;
 }
 
 uint64_t

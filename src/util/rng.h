@@ -14,8 +14,8 @@
  *    generator on (seed, trial) and counts draws, so any draw of any
  *    trial is independently computable — the engine's trial kernels
  *    are embarrassingly parallel with zero chunk-order coupling, and
- *    the batched fillUniformOpenLow path can generate blocks with
- *    AVX2 while staying bit-identical to sequential next() calls.
+ *    the batched fillRaw path can generate blocks with AVX2 while
+ *    staying bit-identical to sequential next() calls.
  *
  * See util/philox.h for the counter layout and ARCHITECTURE.md for the
  * stream contract.
@@ -80,16 +80,6 @@ class Rng
     double nextDoubleOpenLow();
 
     /**
-     * Fill @p out[0 .. count) with uniforms in (0, 1], bit-identical to
-     * @p count sequential nextDoubleOpenLow() calls (the generator
-     * state advances exactly as if they had been made). In counter
-     * mode the Philox blocks are generated in bulk — with AVX2 when
-     * the runtime dispatch allows — which is the fast path of the
-     * engine's structure-of-arrays kernels.
-     */
-    void fillUniformOpenLow(double *out, size_t count);
-
-    /**
      * Fill @p out[0 .. count) with raw 64-bit draws, bit-identical to
      * @p count sequential next() calls (the stream advances exactly as
      * they would). Counter mode generates whole Philox blocks in bulk,
@@ -111,18 +101,6 @@ class Rng
         // (u + 1) / 2^53 lies in (0, 1]; u + 1 cannot overflow 53 bits + 1.
         return static_cast<double>((word >> 11) + 1) * 0x1.0p-53;
     }
-
-    /**
-     * Minimum / maximum of the next @p count uniforms in (0, 1],
-     * advancing the stream exactly as fillUniformOpenLow(out, count)
-     * would, without materializing the array. The extremum of a set of
-     * exact doubles does not depend on reduction order, so the value
-     * equals a scalar min/max over the filled array at any SIMD
-     * dispatch level — the fused fast path of the k = 1 / k = n
-     * order-statistic kernels. @pre count > 0.
-     */
-    double minUniformOpenLow(size_t count);
-    double maxUniformOpenLow(size_t count);
 
     /** Uniform integer in [0, bound). @pre bound > 0. */
     uint64_t nextBelow(uint64_t bound);

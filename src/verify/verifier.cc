@@ -5,10 +5,20 @@
 #include <vector>
 
 #include "ir/lower.h"
-#include "lint/spec_file.h"
 #include "verify/passes.h"
 
 namespace lemons::verify {
+
+VerifiedSpec
+verifySpec(const lint::ParsedSpec &parsed, const std::string &filename)
+{
+    VerifiedSpec out;
+    out.graphs = ir::lowerSpec(parsed, out.findings);
+    for (const ir::Graph &graph : out.graphs)
+        out.findings.merge(verifyGraph(graph));
+    out.findings.setFile(filename);
+    return out;
+}
 
 lint::Report
 verifySpecText(std::string_view text, const std::string &filename)
@@ -18,13 +28,7 @@ verifySpecText(std::string_view text, const std::string &filename)
     lint::Report parseFindings;
     const lint::ParsedSpec parsed =
         lint::parseSpec(text, filename, parseFindings);
-
-    lint::Report report;
-    const std::vector<ir::Graph> graphs = ir::lowerSpec(parsed, report);
-    for (const ir::Graph &graph : graphs)
-        report.merge(verifyGraph(graph));
-    report.setFile(filename);
-    return report;
+    return verifySpec(parsed, filename).findings;
 }
 
 lint::Report

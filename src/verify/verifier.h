@@ -16,10 +16,30 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "ir/graph.h"
 #include "lint/diagnostics.h"
+#include "lint/spec_file.h"
 
 namespace lemons::verify {
+
+/** A spec lowered once: its V-range findings and its graphs. */
+struct VerifiedSpec
+{
+    /** V901 for sections that cannot lower, then every pass's findings. */
+    lint::Report findings;
+    /** The lowered graphs, for callers that analyze them too. */
+    std::vector<ir::Graph> graphs;
+};
+
+/**
+ * Verify an already-parsed spec: lower it once and run all passes on
+ * every graph. @p filename stamps the diagnostics. Lets a caller that
+ * also lints and analyzes parse and lower the text only once.
+ */
+VerifiedSpec verifySpec(const lint::ParsedSpec &parsed,
+                        const std::string &filename);
 
 /**
  * Verify spec text: parse, lower (V901 on sections that cannot lower),

@@ -9,8 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/passes.h"
 #include "analysis/report.h"
@@ -19,6 +24,9 @@
 #include "api/service.h"
 #include "api/types.h"
 #include "lint/diagnostics.h"
+#include "lint/spec_file.h"
+#include "obs/json.h"
+#include "verify/verifier.h"
 
 namespace lemons::api {
 namespace {
@@ -286,6 +294,71 @@ TEST(ApiService, BrokenSpecIsProcessedNotRejected)
     const JsonValue envelope = parseEnvelope(result.body);
     EXPECT_FALSE(envelope.find("ok")->asBool());
     EXPECT_TRUE(hasCode(envelope, "L202"));
+}
+
+/** Every shipped config and seeded violation, in a stable order. */
+std::vector<std::filesystem::path>
+shippedConfigs()
+{
+    std::vector<std::filesystem::path> out;
+    const std::filesystem::path root(LEMONS_CONFIG_DIR);
+    for (const std::filesystem::path &dir : {root, root / "violations"}) {
+        for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+            if (entry.path().extension() == ".lemons")
+                out.push_back(entry.path());
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(ApiService, VerifyAndAnalyzeMatchTheThreePassComposition)
+{
+    // The handlers parse and lower a spec once and feed the lint,
+    // verify and analysis passes from that one result. Their envelopes
+    // must stay byte-identical to composing the three standalone
+    // passes, each of which parses (and lowers) the text itself.
+    const Service service;
+    const std::vector<std::filesystem::path> configs = shippedConfigs();
+    ASSERT_GE(configs.size(), 13u);
+    for (const std::filesystem::path &path : configs) {
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        const std::string spec = text.str();
+        const std::string filename = path.filename().string();
+
+        std::ostringstream body;
+        obs::JsonWriter json(body);
+        json.beginObject();
+        json.key("spec");
+        json.value(spec);
+        json.key("filename");
+        json.value(filename);
+        json.endObject();
+
+        lint::Report findings = lint::lintText(spec, filename);
+        findings.merge(verify::verifySpecText(spec, filename));
+        const uint64_t errors = findings.errorCount();
+        const uint64_t warnings = findings.warningCount();
+        const std::string wantVerify =
+            renderEnvelope(findings, [&](obs::JsonWriter &out) {
+                out.beginObject();
+                out.key("errors");
+                out.value(errors);
+                out.key("warnings");
+                out.value(warnings);
+                out.endObject();
+            });
+        EXPECT_EQ(service.verify(body.str()).body, wantVerify) << filename;
+
+        analysis::AnalyzedFile analyzed;
+        analyzed.analysis = analysis::analyzeSpecText(spec, filename);
+        analyzed.findings = findings;
+        analyzed.findings.merge(analyzed.analysis.findings);
+        const std::string wantAnalyze = renderAnalysisEnvelope({analyzed});
+        EXPECT_EQ(service.analyze(body.str()).body, wantAnalyze) << filename;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -245,18 +245,34 @@ TEST(Determinism, EarlyStopPointIsThreadInvariant)
 }
 
 // ---------------------------------------------------------------------------
-// Counter-based stream goldens.
+// Counter-based stream goldens and the re-baseline protocol.
 //
-// The Philox trial stream is definitional: the digests below were
-// recorded once when the counter-based stream was introduced and must
-// never change. A failure here is a break of the reproducibility
-// contract (samples depend only on (seed, trial)), not a
-// re-baselining opportunity.
+// Within one sampling algorithm the digests below never move: samples
+// depend only on (seed, trial), whatever the thread count, chunk size,
+// SIMD level, early-stop arming or resume point, so a failure under a
+// draw-preserving change is a break of the reproducibility contract,
+// not a re-baselining opportunity.
+//
+// A change to how many draws an algorithm makes moves them by
+// construction. Such a change may re-baseline a digest only when
+//  1. the statistical-equivalence oracle (tests/oracle/) covers the
+//     changed sampler family and passes at its pre-registered seeds
+//     and significance level, power checks included;
+//  2. every other golden (test_regression_figures, the test_chaos
+//     reference digest, bench_smoke_work's exact counters) stays
+//     unchanged, or is re-baselined under this same protocol;
+//  3. the change re-baselines once, and CHANGES.md lists the old and
+//     new values of every digest it moved.
+//
+// History: recorded when the Philox trial stream was introduced;
+// re-baselined once when nominal banks switched to the O(1)
+// order-statistic draw (engine::sampleBankSurvival), sample digest
+// 0x6ea8701c802e958f -> 0x3986701c802e958f, stats digest
+// 0xc00f4c1b61165276 -> 0x16fd59ec8d22b98c.
 // ---------------------------------------------------------------------------
 
-/** A metric that drives the nominal-lot batched kernels, so the Philox
- *  fill/extremum paths (SIMD when available) are on the hot path:
- *  a 1-of-40 parallel bank plus an 8-deep series chain per trial. */
+/** A metric on the nominal-lot bank kernel: a 1-of-40 parallel bank
+ *  plus an 8-deep series chain per trial. */
 double
 nominalKernelMetric(Rng &rng, uint64_t)
 {
@@ -300,15 +316,16 @@ constexpr uint64_t kGoldenSeed = 20170624;
 constexpr uint64_t kGoldenTrials = 501;
 /** Digest of the 501 per-trial samples — invariant across threads,
  *  chunk sizes, SIMD level, early-stop arming, and resume. */
-constexpr uint64_t kGoldenSampleDigest = 0x6ea8701c802e958fULL;
+constexpr uint64_t kGoldenSampleDigest = 0x3986701c802e958fULL;
 /** Digest of the streaming statistics at chunkSize 64. The moments
  *  are merged in chunk order, so this one is pinned per chunk size
  *  (the per-trial samples above are chunk-size invariant). */
-constexpr uint64_t kGoldenStatsDigestChunk64 = 0xc00f4c1b61165276ULL;
+constexpr uint64_t kGoldenStatsDigestChunk64 = 0x16fd59ec8d22b98cULL;
 
 TEST(Determinism, SimdLevelDoesNotChangeSamples)
 {
-    // The vectorized kernels mirror the scalar ones op-for-op, so a
+    // The nominal bank kernel is scalar fastmath at every tier, and the
+    // vectorized Philox fill mirrors the scalar blocks op-for-op, so a
     // whole run is bit-identical whichever path dispatch picks.
     if (simd::detectedLevel() == simd::Level::Scalar)
         GTEST_SKIP() << "host has no AVX2; scalar-vs-scalar is vacuous";

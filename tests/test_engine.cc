@@ -3,10 +3,11 @@
  * Unit tests for the lemons::engine execution substrate: the
  * persistent thread pool (no thread creation after warmup), the
  * memoized survival-function caches (bit-equal to the uncached
- * evaluators), the batched trial kernels (bit-equal to the per-device
- * sampling path), and the chunked runTrials driver (chunk-size
- * invariance, early-stop prefix identity, streaming/keepSamples
- * agreement).
+ * evaluators), the bank kernels (classed lots bit-equal to the
+ * per-device sampling path, nominal lots equal to it in law by the
+ * oracle's two-sample test), and the chunked runTrials runner
+ * (chunk-size invariance, early-stop prefix identity,
+ * streaming/keepSamples agreement).
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +38,7 @@
 #include "engine/thread_pool.h"
 #include "fault/faulty_device.h"
 #include "obs/metrics.h"
+#include "oracle/oracle.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "wearout/mixture.h"
@@ -61,7 +63,8 @@ constexpr struct
 
 constexpr double kBathtubWeights[] = {0.0, 0.01, 0.4, 1.0};
 
-/** Fault plans eps x infant on a nominal lot (no drift). */
+/** Fault plans eps x infant on a nominal lot (no drift). The null
+ *  plan is left out: it is the nominal bank, not a classed lot. */
 std::vector<fault::FaultyDeviceFactory>
 faultFactories()
 {
@@ -70,6 +73,8 @@ faultFactories()
     std::vector<fault::FaultyDeviceFactory> factories;
     for (const double eps : {0.0, 1e-3, 0.5}) {
         for (const double infant : {0.0, 0.05}) {
+            if (eps == 0.0 && infant == 0.0)
+                continue;
             fault::FaultPlan plan;
             plan.stuckClosedRate = eps;
             plan.infantFraction = infant;
@@ -222,31 +227,45 @@ TEST(Cache, RejectsInvalidThreshold)
                  std::invalid_argument);
 }
 
-TEST(BatchKernel, ParallelSurvivalBitEqualToPerDevicePath)
+TEST(BatchKernel, NominalBanksMatchPerDevicePathInLaw)
 {
-    // The u-select kernel must consume the same uniform stream and
-    // return the same order statistic as per-device sampling.
-    const wearout::Weibull model(14.0, 8.0);
+    // The O(1) order-statistic draw must have the law of per-device
+    // sampling: chi-square homogeneity against the LifetimeSampler
+    // path on independent trial streams, for k = 1, k = n, middle k
+    // and a series chain, Bonferroni over the six cases.
     const struct
     {
+        double alpha, beta;
         size_t n, k;
-    } points[] = {{1, 1}, {40, 1}, {60, 30}, {175, 18}, {175, 175}};
+    } points[] = {{14.0, 8.0, 1, 1},    {14.0, 8.0, 40, 1},
+                  {14.0, 8.0, 60, 30},  {14.0, 8.0, 175, 18},
+                  {14.0, 8.0, 175, 175}, {10.0, 6.0, 12, 12}};
+    const double cut =
+        oracle::kFamilyAlpha / static_cast<double>(std::size(points));
+    uint64_t seed = 9000;
     for (const auto &point : points) {
-        Rng kernelRng(9000);
-        Rng referenceRng(9000);
-        const arch::LifetimeSampler sampler = [&model](Rng &r) {
+        const wearout::Weibull model(point.alpha, point.beta);
+        const arch::LifetimeSampler device = [&model](Rng &r) {
             return model.sample(r);
         };
-        for (int trial = 0; trial < 50; ++trial) {
-            const uint64_t got = sampleParallelBankSurvival(
-                model, point.n, point.k, kernelRng);
-            const uint64_t want = arch::sampleParallelSurvivedAccesses(
-                sampler, point.n, point.k, referenceRng);
-            ASSERT_EQ(got, want) << "n=" << point.n << " k=" << point.k
-                                 << " trial=" << trial;
-        }
+        const std::vector<uint64_t> kernel = oracle::drawSamples(
+            seed++, 20000, [&](Rng &rng) {
+                return sampleBankSurvival(model, point.n, point.k, rng);
+            });
+        const std::vector<uint64_t> reference = oracle::drawSamples(
+            seed++, 20000, [&](Rng &rng) {
+                return arch::sampleParallelSurvivedAccesses(
+                    device, point.n, point.k, rng);
+            });
+        const oracle::Bins bins = oracle::equiprobableBins(
+            oracle::bankLaw(point.alpha, point.beta, point.n, point.k), 40);
+        EXPECT_GE(oracle::twoSample(kernel, reference, bins).pValue, cut)
+            << "n=" << point.n << " k=" << point.k;
     }
+}
 
+TEST(BatchKernel, ClassedBanksBitEqualToPerDevicePath)
+{
     // Classed lots: bathtub mixtures and drift-free fault plans. Each
     // call must return the per-device result, transform at most k
     // uniforms per mortal class, and leave both streams at the same
@@ -317,41 +336,13 @@ TEST(BatchKernel, ParallelSurvivalBitEqualToPerDevicePath)
     EXPECT_GT(unboundedSeen, 0u) << "no case had stuck >= k";
 }
 
-TEST(BatchKernel, SeriesSurvivalBitEqualToMinLoop)
-{
-    const wearout::Weibull model(10.0, 6.0);
-    Rng kernelRng(77);
-    Rng referenceRng(77);
-    for (int trial = 0; trial < 200; ++trial) {
-        const uint64_t got = sampleSeriesBankSurvival(model, 12, kernelRng);
-        double minLifetime = std::numeric_limits<double>::infinity();
-        for (int i = 0; i < 12; ++i)
-            minLifetime = std::min(minLifetime, model.sample(referenceRng));
-        EXPECT_EQ(got, floorToAccesses(minLifetime)) << trial;
-    }
-}
-
-TEST(BatchKernel, ManyFillsInTrialOrder)
-{
-    const wearout::Weibull model(14.0, 8.0);
-    Rng batchRng(5);
-    Rng loopRng(5);
-    uint64_t batch[32];
-    sampleParallelBankSurvivalMany(model, 20, 3, batchRng, batch, 32);
-    for (uint64_t &value : batch) {
-        const uint64_t want =
-            sampleParallelBankSurvival(model, 20, 3, loopRng);
-        EXPECT_EQ(value, want);
-        static_cast<void>(value);
-    }
-}
-
 TEST(BatchKernel, SimdAndScalarKernelsBitIdentical)
 {
-    // The AVX2 fill/extremum paths mirror the scalar code op-for-op,
-    // so forcing either dispatch tier over counter-mode trial streams
+    // Forcing either dispatch tier over counter-mode trial streams
     // must yield identical survival counts and identical post-call
-    // stream positions.
+    // stream positions: the nominal kernel is scalar fastmath whatever
+    // the tier, and the classed kernel's AVX2 fill mirrors the scalar
+    // blocks op-for-op.
     if (simd::detectedLevel() == simd::Level::Scalar)
         GTEST_SKIP() << "host has no AVX2; scalar-vs-scalar is vacuous";
     const wearout::Weibull model(9.3, 12.0);
@@ -364,16 +355,16 @@ TEST(BatchKernel, SimdAndScalarKernelsBitIdentical)
             Rng vectorRng = Rng::trialStream(20170624, trial);
             Rng scalarRng = Rng::trialStream(20170624, trial);
             simd::setLevelForTesting(simd::Level::Avx2);
-            const uint64_t parallelVec = sampleParallelBankSurvival(
-                model, point.n, point.k, vectorRng);
+            const uint64_t parallelVec =
+                sampleBankSurvival(model, point.n, point.k, vectorRng);
             const uint64_t seriesVec =
-                sampleSeriesBankSurvival(model, point.n, vectorRng);
+                sampleBankSurvival(model, point.n, point.n, vectorRng);
             const uint64_t tailVec = vectorRng.next();
             simd::setLevelForTesting(simd::Level::Scalar);
-            const uint64_t parallelScalar = sampleParallelBankSurvival(
-                model, point.n, point.k, scalarRng);
+            const uint64_t parallelScalar =
+                sampleBankSurvival(model, point.n, point.k, scalarRng);
             const uint64_t seriesScalar =
-                sampleSeriesBankSurvival(model, point.n, scalarRng);
+                sampleBankSurvival(model, point.n, point.n, scalarRng);
             const uint64_t tailScalar = scalarRng.next();
             simd::clearLevelForTesting();
             ASSERT_EQ(parallelVec, parallelScalar)

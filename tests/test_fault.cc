@@ -108,6 +108,31 @@ TEST(NullPlan, StructureSamplesBitIdentical)
     }
 }
 
+TEST(NullPlan, NominalBaseStructureSamplesBitIdentical)
+{
+    // On a nominal base a null plan takes the base lot's own
+    // order-statistic draw: the same result and the same stream
+    // position as sampleParallelSurvivedAccesses, for k = 1, middle k
+    // and k = n.
+    const DeviceFactory base({10.0, 12.0}, ProcessVariation::none());
+    const FaultyDeviceFactory faulty(base, FaultPlan::none());
+    for (const size_t k : {size_t{1}, size_t{3}, size_t{20}}) {
+        for (uint64_t trial = 0; trial < 200; ++trial) {
+            Rng baseRng = Rng::trialStream(7, trial);
+            Rng faultyRng = Rng::trialStream(7, trial);
+            const uint64_t ideal = arch::sampleParallelSurvivedAccesses(
+                base, 20, k, baseRng);
+            const arch::FaultySurvival injected =
+                arch::sampleFaultyParallelSurvivedAccesses(faulty, 20, k,
+                                                           faultyRng);
+            EXPECT_FALSE(injected.unbounded);
+            EXPECT_EQ(injected.stuckDevices, 0u);
+            EXPECT_EQ(injected.accesses, ideal) << "k=" << k;
+            EXPECT_EQ(baseRng.next(), faultyRng.next()) << "k=" << k;
+        }
+    }
+}
+
 TEST(NullPlan, GateAccessSequenceBitIdentical)
 {
     const core::Design design = smallDesign();

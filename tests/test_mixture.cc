@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "arch/structures_sim.h"
 #include "engine/engine.h"
+#include "oracle/oracle.h"
 #include "sim/empirical.h"
 #include "util/rng.h"
 #include "wearout/mixture.h"
@@ -131,20 +135,27 @@ TEST(BathtubMixture, HeavyInfantMortalityBreaksTheBound)
     EXPECT_LT(ci.estimate, 0.5);
 }
 
-TEST(GenericSampler, MatchesFactoryPath)
+TEST(GenericSampler, MatchesFactoryPathInLaw)
 {
-    // The std::function overload and the DeviceFactory overload must
-    // produce identical draws for the same seed.
+    // The DeviceFactory overload draws a nominal bank's order statistic
+    // directly; the std::function overload samples every device. Same
+    // law: chi-square homogeneity on independent trial streams.
     const DeviceFactory factory({10.0, 8.0}, ProcessVariation::none());
     const arch::LifetimeSampler sampler = [&](Rng &rng) {
         return factory.sampleLifetime(rng);
     };
-    for (uint64_t seed = 0; seed < 20; ++seed) {
-        Rng a(seed);
-        Rng b(seed);
-        EXPECT_EQ(arch::sampleParallelSurvivedAccesses(factory, 40, 4, a),
-                  arch::sampleParallelSurvivedAccesses(sampler, 40, 4, b));
-    }
+    const std::vector<uint64_t> direct =
+        oracle::drawSamples(0, 20000, [&](Rng &rng) {
+            return arch::sampleParallelSurvivedAccesses(factory, 40, 4, rng);
+        });
+    const std::vector<uint64_t> perDevice =
+        oracle::drawSamples(1, 20000, [&](Rng &rng) {
+            return arch::sampleParallelSurvivedAccesses(sampler, 40, 4, rng);
+        });
+    const oracle::Bins bins =
+        oracle::equiprobableBins(oracle::bankLaw(10.0, 8.0, 40, 4), 40);
+    EXPECT_GE(oracle::twoSample(direct, perDevice, bins).pValue,
+              oracle::kFamilyAlpha);
 }
 
 } // namespace

@@ -251,7 +251,8 @@ TEST(Statistical, PhiloxUniformsMatchUniformCdf)
 {
     Rng rng = Rng::trialStream(2026, 0);
     std::vector<double> samples(20000);
-    rng.fillUniformOpenLow(samples.data(), samples.size());
+    for (double &sample : samples)
+        sample = rng.nextDoubleOpenLow();
     const double d = ksDistance(samples, [](double x) {
         return std::clamp(x, 0.0, 1.0);
     });
@@ -332,7 +333,8 @@ TEST(Statistical, PhiloxAdjacentStreamsIndependentChiSquare)
                                        std::vector<double>(kDraws));
     for (size_t t = 0; t < kStreams; ++t) {
         Rng rng = Rng::trialStream(31337, t);
-        rng.fillUniformOpenLow(u[t].data(), kDraws);
+        for (double &draw : u[t])
+            draw = rng.nextDoubleOpenLow();
     }
     std::array<uint64_t, kGrid * kGrid> cells{};
     for (size_t t = 0; t + 1 < kStreams; ++t) {
