@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/decision_tree.h"
 #include "engine/engine.h"
@@ -52,6 +54,17 @@ TEST(OtpAnalytics, PathSuccessMatchesEquationNine)
                     std::exp(-0.1 * static_cast<double>(h)), 1e-12)
             << "H = " << h;
     }
+}
+
+TEST(OtpAnalytics, RegressionPinnedValues)
+{
+    // Eq. 12/15 doubles pinned to the bit: the Weibull survival and
+    // binomial-tail terms behind them must not change evaluation order.
+    const OtpAnalytics analytics(paperParams(4, 8));
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    EXPECT_EQ(bits(analytics.adversarySuccess()), 0x3feb3017f4ce0a10ULL);
+    EXPECT_EQ(bits(analytics.pathSuccessWithStuckClosed(0.01)),
+              0x3fe58a662d39fbb2ULL);
 }
 
 TEST(OtpAnalytics, PathCountIsTwoToHMinusOne)

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/design_solver.h"
 
@@ -241,6 +243,23 @@ TEST(DesignSolver, RegressionPinnedValues)
     const Design plain = DesignSolver(baseRequest(14.0, 8.0)).solve();
     EXPECT_EQ(plain.perCopyBound, 20u);
     EXPECT_EQ(plain.copies, 4563u);
+
+    DesignRequest targeted = baseRequest(14.0, 8.0, 0.1);
+    targeted.upperBoundTarget = 100000;
+    const Design capped = DesignSolver(targeted).solve();
+
+    // The reliability doubles, pinned to the bit: any change to the
+    // Weibull, k-of-n or binomial-tail evaluation order shows here.
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    EXPECT_EQ(bits(coded.reliabilityAtBound), 0x3fefeb996d48ea34ULL);
+    EXPECT_EQ(bits(coded.reliabilityPastBound), 0x3f7e70855353cc9eULL);
+    EXPECT_EQ(bits(coded.expectedSystemTotal), 0x40f64a936a209066ULL);
+    EXPECT_EQ(bits(plain.reliabilityAtBound), 0x3fefae147aef3b7aULL);
+    EXPECT_EQ(bits(plain.reliabilityPastBound), 0x3f53135303d03c22ULL);
+    EXPECT_EQ(bits(plain.expectedSystemTotal), 0x40f64815009199feULL);
+    EXPECT_EQ(bits(capped.reliabilityAtBound), 0x3fefc91b6e088983ULL);
+    EXPECT_EQ(bits(capped.reliabilityPastBound), 0x3fe9a011207ce6deULL);
+    EXPECT_EQ(bits(capped.expectedSystemTotal), 0x40f7e8da71b709deULL);
 }
 
 TEST(DesignSolver, CopyReliabilityMatchesEquationSix)
