@@ -17,9 +17,8 @@
 #ifndef LEMONS_LEMONS_H
 #define LEMONS_LEMONS_H
 
-// util: RNG, statistics, math helpers, tables, histograms, CSV.
+// util: RNG, statistics, math helpers, tables, histograms.
 #include "util/checksum.h"
-#include "util/csv.h"
 #include "util/histogram.h"
 #include "util/math.h"
 #include "util/require.h"
@@ -58,9 +57,8 @@
 #include "fault/fault_plan.h"
 #include "fault/faulty_device.h"
 
-// engine: pooled, batched, memoized Monte Carlo execution substrate.
+// engine: pooled, batched Monte Carlo execution substrate.
 #include "engine/batch.h"
-#include "engine/cache.h"
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
 

@@ -26,6 +26,7 @@
 #include <optional>
 
 #include "wearout/device.h"
+#include "wearout/weibull.h"
 
 namespace lemons::core {
 
@@ -132,6 +133,9 @@ class DesignSolver
 
   private:
     DesignRequest spec;
+
+    /** The request's device model, built once after the lint check. */
+    wearout::Weibull device;
 
     /** k for a given width under the request's encoding fraction. */
     uint64_t thresholdFor(uint64_t n) const;

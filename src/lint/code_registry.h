@@ -27,7 +27,9 @@
  * that the uniqueness check guards what tests and suppression lists
  * actually match on. Codes are append-only: a published code never
  * changes meaning and is never renumbered; add new rows at the end of
- * the table (grouping by family is cosmetic — --codes sorts).
+ * the table (grouping by family is cosmetic — --codes sorts). A
+ * retired code loses its row but its id is never reused;
+ * docs/ARCHITECTURE.md keeps the retired ids in its code tables.
  */
 
 #ifndef LEMONS_LINT_CODE_REGISTRY_H_
@@ -198,9 +200,6 @@
                            "pool (lemons-no-raw-thread)")                    \
     X(T002, "T002", Error, "nondeterminism source in a simulation TU "       \
                            "(lemons-deterministic-sim)")                     \
-    X(T003, "T003", Warning, "direct Weibull/binomial math on a hot path "   \
-                             "that should use engine::cache "                \
-                             "(lemons-memoized-math)")                       \
     X(T004, "T004", Error, "member mutated under MutexLock without a "       \
                            "GUARDED_BY annotation (lemons-guarded-member)")  \
     X(T005, "T005", Warning, "misused LEMONS_OBS_SCOPED_TIMER or "           \
