@@ -204,14 +204,18 @@ Server::loop()
             if (event.data.u64 == kListenTag) {
                 acceptPending();
             } else if (event.data.u64 == kWakeTag) {
+                // Read before testing stopping: stop() sets the flag
+                // before it writes, so a read that swallows its write
+                // sees the flag, and a later write re-fires on re-arm.
+                uint64_t count = 0;
+                static_cast<void>(::read(wakeFd, &count, sizeof(count)));
                 if (stopping.load(std::memory_order_acquire)) {
-                    // The counter stays set, so the re-armed eventfd
-                    // stops the next loop as well.
+                    // Put the count back so the re-armed eventfd stops
+                    // the next loop as well.
+                    wake();
                     arm(epollFd, wakeFd, EPOLL_CTL_MOD, EPOLLIN, kWakeTag);
                     return;
                 }
-                uint64_t count = 0;
-                static_cast<void>(::read(wakeFd, &count, sizeof(count)));
                 sweep();
                 arm(epollFd, wakeFd, EPOLL_CTL_MOD, EPOLLIN, kWakeTag);
                 continue;
