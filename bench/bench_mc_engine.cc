@@ -16,10 +16,10 @@
 #include <thread>
 #include <vector>
 
+#include "arch/structures.h"
 #include "arch/structures_sim.h"
 #include "bench/harness.h"
 #include "engine/batch.h"
-#include "arch/structures.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
 #include "wearout/population.h"
@@ -236,9 +236,9 @@ LEMONS_BENCH(mcEnginePoolReuse, "mc_engine.pool_reuse")
 LEMONS_BENCH(mcEngineCacheHitRate, "mc_engine.cache_hit_rate")
 {
     // Solver-style probe pattern: repeated (n, k, x) k-of-n reliability
-    // queries against a fixed device, one item per probe. The name is
-    // kept from the retired memo caches so the item count stays
-    // comparable across the perf history.
+    // queries against a fixed device, one item per probe. The name
+    // predates the probes; perfbench/benches.json pins it and the item
+    // count.
     const wearout::Weibull device(14.0, 8.0);
     const uint64_t sweeps = ctx.scaled(200, 5);
     uint64_t probes = 0;
