@@ -17,9 +17,8 @@
 #ifndef LEMONS_LEMONS_H
 #define LEMONS_LEMONS_H
 
-// util: RNG, statistics, math helpers, tables, histograms.
+// util: RNG, statistics, math helpers, tables.
 #include "util/checksum.h"
-#include "util/histogram.h"
 #include "util/math.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -46,8 +45,7 @@
 #include "shamir/shamir.h"
 #include "shamir/shamir16.h"
 
-// crypto: one-time pads, hashing, password/guessing models.
-#include "crypto/guess_curve.h"
+// crypto: one-time pads, hashing, the password guessing model.
 #include "crypto/hmac.h"
 #include "crypto/otp.h"
 #include "crypto/password_model.h"
@@ -75,7 +73,6 @@
 #include "arch/cost_model.h"
 #include "arch/htree.h"
 #include "arch/share_store.h"
-#include "arch/shift_register.h"
 #include "arch/structures.h"
 #include "arch/structures_sim.h"
 
@@ -92,7 +89,6 @@
 #include "core/forward_secrecy.h"
 #include "core/gate.h"
 #include "core/mway.h"
-#include "core/otp_chip.h"
 #include "core/programmable_gate.h"
 #include "core/software_baseline.h"
 #include "core/targeting.h"

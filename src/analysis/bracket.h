@@ -15,11 +15,12 @@
  * The demand side turns the lint layer's stochastic workload specs
  * into certified brackets: a bursty daily profile (Poisson base rate
  * with Bernoulli burst days) has a closed-form mean and variance per
- * day, so a kDemandSigmas-sigma envelope around the horizon total,
- * padded by a Chernoff tail bound on the dominating Poisson, is a
+ * day, so a kDemandSigmas-sigma envelope around the horizon total is a
  * bracket that contains the realized demand except with negligible
- * probability — and that residual probability is itself reported
- * (poissonExceedUpper) rather than silently dropped.
+ * probability — and that residual probability is bounded by a
+ * Chernoff bound on the burst mixture (demandTailBound), which
+ * prematureLockoutBracket folds into its endpoints rather than
+ * silently dropping it.
  *
  * Degenerate inputs (non-positive rates, NaN) yield the vacuous
  * top bracket rather than throwing: the fuzzers drive garbage
@@ -114,13 +115,6 @@ AccessBracket workloadDemand(const lint::WorkloadSpec &workload,
  * declared end.
  */
 AccessBracket unboundedHorizonDemand(const lint::WorkloadSpec &workload);
-
-/**
- * Chernoff upper bound on P(X >= bound) for X ~ Poisson(lambda):
- * exp(bound - lambda - bound*ln(bound/lambda)) when bound > lambda,
- * else 1. Returns 0 for lambda <= 0 with bound > 0.
- */
-double poissonExceedUpper(double lambda, double bound);
 
 /**
  * Certified Chernoff tail bound on the realized total demand over

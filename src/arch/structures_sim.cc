@@ -158,71 +158,6 @@ sampleSerialCopiesTotalAccesses(const wearout::DeviceFactory &factory,
     return serialCopiesTotal(factory, n, k, copies, rng);
 }
 
-namespace {
-
-/**
- * Classify a sampled population at a probe access. A device counts
- * alive when it is stuck closed (conducts forever) or its lifetime
- * covers the probe access.
- */
-StructureHealth
-assessHealth(const std::vector<fault::FaultyLifetime> &fates,
-             size_t threshold, uint64_t probeAccess)
-{
-    StructureHealth health;
-    health.width = fates.size();
-    health.threshold = threshold;
-    for (const fault::FaultyLifetime &fate : fates) {
-        if (fate.stuckClosed()) {
-            ++health.stuckClosed;
-            ++health.alive;
-        } else if (fate.lifetime >= static_cast<double>(probeAccess)) {
-            ++health.alive;
-        }
-    }
-    if (health.alive == health.width)
-        health.status = HealthStatus::Healthy;
-    else if (health.alive >= threshold)
-        health.status = HealthStatus::Degraded;
-    else
-        health.status = HealthStatus::Dead;
-    health.attackBoundViolated = health.stuckClosed >= threshold;
-    return health;
-}
-
-std::vector<fault::FaultyLifetime>
-sampleFates(const fault::FaultyDeviceFactory &factory, size_t n, Rng &rng)
-{
-    std::vector<fault::FaultyLifetime> fates;
-    fates.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        fates.push_back(factory.sampleFaultyLifetime(rng));
-    return fates;
-}
-
-} // namespace
-
-StructureHealth
-probeParallelHealth(const fault::FaultyDeviceFactory &factory, size_t n,
-                    size_t k, uint64_t probeAccess, Rng &rng)
-{
-    requireArg(n >= 1, "probeParallelHealth: n must be >= 1");
-    requireArg(k >= 1 && k <= n, "probeParallelHealth: need 1 <= k <= n");
-    return assessHealth(sampleFates(factory, n, rng), k, probeAccess);
-}
-
-StructureHealth
-probeSeriesHealth(const fault::FaultyDeviceFactory &factory, size_t n,
-                  uint64_t probeAccess, Rng &rng)
-{
-    requireArg(n >= 1, "probeSeriesHealth: n must be >= 1");
-    // A series chain conducts only when every device does, so its
-    // threshold is the full width; it is unkillable only when every
-    // device is stuck closed, which assessHealth reports through the
-    // same stuckClosed >= threshold rule.
-    return assessHealth(sampleFates(factory, n, rng), n, probeAccess);
-}
-
 FaultySurvival
 sampleFaultyParallelSurvivedAccesses(const fault::FaultyDeviceFactory &factory,
                                      size_t n, size_t k, Rng &rng)

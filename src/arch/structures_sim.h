@@ -87,56 +87,6 @@ uint64_t sampleSerialCopiesTotalAccesses(const wearout::DeviceFactory &factory,
                                          size_t n, size_t k, uint64_t copies,
                                          Rng &rng);
 
-/**
- * Coarse structure condition. Fault injection makes the old binary
- * dead/alive view insufficient: a structure can be functional yet
- * compromised (stuck-closed shares) or functional yet eroded (devices
- * lost but still >= threshold).
- */
-enum class HealthStatus {
-    Healthy,  ///< every device still closes
-    Degraded, ///< devices lost, but the structure still works
-    Dead,     ///< below threshold: the structure no longer conducts
-};
-
-/**
- * Degraded-but-alive health report for one structure at a probe
- * access. Produced by sampling a fresh population from a faulty
- * factory and asking which devices would still close at that access.
- */
-struct StructureHealth
-{
-    size_t width = 0;       ///< n devices in the structure
-    size_t threshold = 0;   ///< devices required for the structure to work
-    size_t alive = 0;       ///< devices still closing at the probe access
-    size_t stuckClosed = 0; ///< fail-short devices (always counted alive)
-    HealthStatus status = HealthStatus::Dead;
-    /**
-     * Whether the structure can never die: enough fail-short devices
-     * to meet the threshold forever, so the secret behind it outlives
-     * every wearout bound the paper's analyses assume.
-     */
-    bool attackBoundViolated = false;
-};
-
-/**
- * Sample the health of a k-out-of-n parallel structure at access
- * @p probeAccess (the structure works while >= k devices close).
- * 1-of-n parallel structures are the k = 1 case.
- */
-StructureHealth probeParallelHealth(const fault::FaultyDeviceFactory &factory,
-                                    size_t n, size_t k, uint64_t probeAccess,
-                                    Rng &rng);
-
-/**
- * Sample the health of an n-device series chain at @p probeAccess:
- * the chain conducts only while every device closes, so threshold = n.
- * A stuck-closed device cannot break a series chain (it conducts);
- * the chain is unkillable only when every device is stuck.
- */
-StructureHealth probeSeriesHealth(const fault::FaultyDeviceFactory &factory,
-                                  size_t n, uint64_t probeAccess, Rng &rng);
-
 /** Survived-access sample under fault injection. */
 struct FaultySurvival
 {

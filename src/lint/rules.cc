@@ -724,19 +724,6 @@ checkParallelOrThrow(uint64_t n, uint64_t k)
 }
 
 void
-checkOtpOrThrow(const core::OtpParams &params)
-{
-    const bool clean = params.height >= 1 && params.height <= 20 &&
-                       params.copies >= 1 && params.copies <= 255 &&
-                       params.threshold >= 1 &&
-                       params.threshold <= params.copies &&
-                       positiveFinite(params.device.alpha) &&
-                       positiveFinite(params.device.beta);
-    if (!clean)
-        throwOnErrors(checkOtp(params));
-}
-
-void
 checkFaultPlanOrThrow(const fault::FaultPlan &plan)
 {
     const auto inUnit = [](double v) { return v >= 0.0 && v <= 1.0; };

@@ -210,7 +210,6 @@ Report checkFleet(const FleetSpec &spec);
 void checkDesignOrThrow(const core::DesignRequest &request);
 void checkSeriesOrThrow(uint64_t n);
 void checkParallelOrThrow(uint64_t n, uint64_t k);
-void checkOtpOrThrow(const core::OtpParams &params);
 void checkFaultPlanOrThrow(const fault::FaultPlan &plan);
 void checkMwayOrThrow(uint64_t m);
 

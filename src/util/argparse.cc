@@ -174,22 +174,6 @@ ArgParser::optionalValue(std::string name, bool *present,
 }
 
 ArgParser &
-ArgParser::repeated(std::string name, std::vector<std::string> *target,
-                    std::string metavar, std::string help)
-{
-    Option option;
-    option.name = std::move(name);
-    option.kind = Kind::Repeated;
-    option.metavar = std::move(metavar);
-    option.help = std::move(help);
-    option.sink = [target](const std::string &token) {
-        target->push_back(token);
-        return true;
-    };
-    return add(std::move(option));
-}
-
-ArgParser &
 ArgParser::positionals(std::string metavar,
                        std::vector<std::string> *target, std::string help)
 {
@@ -262,8 +246,7 @@ ArgParser::parse(int argc, const char *const *argv)
                 return fail("malformed value '" + *inlineValue +
                             "' for option '" + arg + "'");
             break;
-        case Kind::Value:
-        case Kind::Repeated: {
+        case Kind::Value: {
             std::string token;
             if (inlineValue) {
                 token = *inlineValue;
@@ -297,7 +280,7 @@ ArgParser::helpText() const
     size_t width = 0;
     for (const Option &option : options) {
         std::string cell = option.name;
-        if (option.kind == Kind::Value || option.kind == Kind::Repeated)
+        if (option.kind == Kind::Value)
             cell += " " + option.metavar;
         else if (option.kind == Kind::OptionalValue)
             cell += "[=" + option.metavar + "]";

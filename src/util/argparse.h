@@ -11,7 +11,6 @@
  *   - boolean flags:            --werror
  *   - valued options:           --threads 8   or   --threads=8
  *   - optional-value options:   --json        or   --json=out.json
- *   - repeated options:         --define a --define b
  *   - positional operands:      spec files, subcommands
  *
  * --help output is generated from the registered options, so the usage
@@ -91,10 +90,6 @@ class ArgParser
                              std::string *valueTarget, std::string metavar,
                              std::string help);
 
-    /** Repeated valued option; every occurrence appends. */
-    ArgParser &repeated(std::string name, std::vector<std::string> *target,
-                        std::string metavar, std::string help);
-
     /**
      * Declare the positional operands line for usage ("<spec-file>...")
      * and where to collect them. Without this, positionals are errors.
@@ -120,7 +115,7 @@ class ArgParser
     std::string helpText() const;
 
   private:
-    enum class Kind { Flag, Value, OptionalValue, Repeated };
+    enum class Kind { Flag, Value, OptionalValue };
 
     struct Option
     {

@@ -112,18 +112,6 @@ TEST(ArgParse, OptionalValueGrammar)
     EXPECT_EQ(rest[0], "notapath");
 }
 
-TEST(ArgParse, RepeatedAppendsEveryOccurrence)
-{
-    std::vector<std::string> defines;
-    ArgParser parser("prog", "test");
-    parser.repeated("--define", &defines, "KV", "d");
-    EXPECT_EQ(parse(parser, {"--define", "a", "--define=b"}),
-              ArgParser::Outcome::Ok);
-    ASSERT_EQ(defines.size(), 2u);
-    EXPECT_EQ(defines[0], "a");
-    EXPECT_EQ(defines[1], "b");
-}
-
 TEST(ArgParse, PositionalsCollectedInOrder)
 {
     std::vector<std::string> files;

@@ -3,7 +3,7 @@
  * Tests for the fault-injection subsystem and the fault-tolerant
  * Monte Carlo engine: null-plan bit-identity with the unfaulted
  * simulator, stuck-closed monotonicity of attacker success, glitch and
- * infant-mortality semantics, degraded-but-alive health reporting, and
+ * infant-mortality semantics, gate health reporting, and
  * TrialReport capture of throwing / non-finite trials.
  */
 
@@ -348,58 +348,6 @@ TEST(InfantMortality, PopulationReliabilityMatchesSampling)
             (1.0 - plan.stuckClosedRate) * bathtub.reliability(x);
         EXPECT_GE(mixtureView + 1e-12, analytic) << "x = " << x;
     }
-}
-
-TEST(Health, ParallelDegradedAndDeadStates)
-{
-    const FaultyDeviceFactory factory(idealFactory(), FaultPlan::none());
-
-    Rng rng(3);
-    // Probe access 1: alpha = 10 devices essentially all close.
-    const arch::StructureHealth fresh =
-        arch::probeParallelHealth(factory, 12, 3, 1, rng);
-    EXPECT_EQ(fresh.status, arch::HealthStatus::Healthy);
-    EXPECT_EQ(fresh.alive, 12u);
-    EXPECT_FALSE(fresh.attackBoundViolated);
-
-    // Probe far beyond alpha: everything has worn out.
-    Rng lateRng(3);
-    const arch::StructureHealth dead =
-        arch::probeParallelHealth(factory, 12, 3, 1000, lateRng);
-    EXPECT_EQ(dead.status, arch::HealthStatus::Dead);
-    EXPECT_EQ(dead.alive, 0u);
-
-    // Probe near alpha with a tight beta: some devices are gone but the
-    // low threshold keeps the structure alive -> Degraded shows up.
-    bool sawDegraded = false;
-    Rng midRng(3);
-    for (int i = 0; i < 200 && !sawDegraded; ++i) {
-        const arch::StructureHealth mid =
-            arch::probeParallelHealth(factory, 12, 2, 10, midRng);
-        sawDegraded = mid.status == arch::HealthStatus::Degraded;
-    }
-    EXPECT_TRUE(sawDegraded);
-}
-
-TEST(Health, SeriesChainCannotBeBrokenByStuckDevices)
-{
-    // Half the devices stuck closed: a series chain still conducts only
-    // while the *mortal* devices survive, and the bound is violated only
-    // when every device is stuck.
-    const FaultyDeviceFactory half(idealFactory(),
-                                   FaultPlan::stuckClosed(0.5));
-    Rng rng(8);
-    const arch::StructureHealth health =
-        arch::probeSeriesHealth(half, 10, 1, rng);
-    EXPECT_EQ(health.threshold, 10u);
-    EXPECT_FALSE(health.attackBoundViolated);
-
-    const FaultyDeviceFactory all(idealFactory(), FaultPlan::stuckClosed(1.0));
-    Rng allRng(8);
-    const arch::StructureHealth unkillable =
-        arch::probeSeriesHealth(all, 10, 1000000, allRng);
-    EXPECT_TRUE(unkillable.attackBoundViolated);
-    EXPECT_EQ(unkillable.status, arch::HealthStatus::Healthy);
 }
 
 TEST(Health, TargetingAndMWayExposeGateHealth)
